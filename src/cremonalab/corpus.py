@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .cyclo import CycloNumber
-from .expr import ParseError, parse_expression, _split_top
+from .expr import parse_expression, _split_top
 from .maps import (
     NOT_INVARIANT,
     Ambient,
@@ -107,7 +107,10 @@ def _parse_component_tuples(text: str, ambient: Ambient) -> ProjMap:
                 f"expected {hi - lo} components in tuple ({grp}), found {len(parts)}"
             )
         comps.extend(parse_expression(p, ambient.vars) for p in parts)
-    return ProjMap(ambient, comps)
+    try:
+        return ProjMap(ambient, comps)
+    except ValueError as e:  # the components do not define a map of the ambient
+        raise CorpusFormatError(str(e)) from e
 
 
 def parse_corpus(text: str) -> list[CorpusRow]:
@@ -140,7 +143,9 @@ def parse_corpus(text: str) -> list[CorpusRow]:
             value = value.strip()
             try:
                 if key == "F":
-                    equations.append(parse_expression(value, ambient.vars))
+                    equation = parse_expression(value, ambient.vars)
+                    Hypersurface(ambient, equation)  # rejects a zero or non-homogeneous F
+                    equations.append(equation)
                 elif key == "gen":
                     generators.append(_parse_component_tuples(value, ambient))
                 elif key == "gen_orders":
@@ -150,8 +155,8 @@ def parse_corpus(text: str) -> list[CorpusRow]:
                 elif key == "structure":
                     structure = tuple(int(v) for v in value.split(","))
                 else:
-                    raise CorpusFormatError(f"line {lineno}: unknown key {key!r}")
-            except ParseError as e:
+                    raise CorpusFormatError(f"unknown key {key!r}")
+            except ValueError as e:  # ParseError, CorpusFormatError, an invalid F or integer
                 raise CorpusFormatError(f"line {lineno} ({name}): {e}") from e
         if not generators:
             raise CorpusFormatError(f"line {lineno}: row {name!r} has no generators")
@@ -208,33 +213,30 @@ def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
             if not _is_degree_one(g):
                 rep.add(f"{label} invariance", False, "generator is not degree one")
             else:
-                lam_values = []
+                details = []
+                scalars = []
                 ok = True
                 for s in surfaces:
                     lam = semi_invariance(s, g)
-                    if lam is NOT_INVARIANT:
-                        if len(surfaces) > 1:
-                            sub = dict(zip(row.ambient.vars, g.components))
-                            if in_span(s.equation.subs(sub), row.equations) is None:
-                                ok = False
-                            else:
-                                lam_values.append("mixes equations")
-                        else:
-                            ok = False
+                    if lam is not NOT_INVARIANT:
+                        details.append(str(lam))
+                        scalars.append(lam)
+                    elif len(surfaces) > 1 and in_span(
+                        s.equation.subs(dict(zip(row.ambient.vars, g.components))),
+                        row.equations,
+                    ) is not None:
+                        details.append("mixes equations")
                     else:
-                        lam_values.append(str(lam))
-                rep.add(f"{label} invariance", ok, "; ".join(lam_values))
+                        ok = False
+                rep.add(f"{label} invariance", ok, "; ".join(details))
                 # Semi-invariance factors of as-written generators are roots
                 # of unity of order dividing the generator order.
-                for s, lv in zip(surfaces, lam_values):
-                    if lv != "mixes equations":
-                        lam = semi_invariance(s, g)
-                        power = lam ** row.gen_orders[k]
-                        rep.add(
-                            f"{label} factor order",
-                            power == CycloNumber.from_rational(1),
-                            f"lambda={lam}",
-                        )
+                for lam in scalars:
+                    rep.add(
+                        f"{label} factor order",
+                        lam ** row.gen_orders[k] == CycloNumber.from_rational(1),
+                        f"lambda={lam}",
+                    )
         o = order_of_map(g, order_cap=max(row.gen_orders) * 2 + 2)
         rep.add(f"{label} order", o == row.gen_orders[k], f"computed {o}")
     for a in range(len(row.generators)):

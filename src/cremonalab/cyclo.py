@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 def divisors(n: int) -> list[int]:
@@ -47,19 +47,18 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # den has leading coefficient 1; division is exact by construction.
-    num = list(num)
+def _int_poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, ascending; den monic."""
+    rem = list(num)
     dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        out[i - dn] = c
+    quo = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
         if c:
+            quo[i - dn] = c
             for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    assert all(c == 0 for c in num[:dn]), "inexact cyclotomic division"
-    return out
+                rem[i - dn + j] -= c * dj
+    return quo, rem[:dn]
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +68,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in divisors(n)[:-1]:
-        poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+        poly, rem = _int_poly_divmod(poly, cyclotomic_polynomial(d))
+        assert not any(rem), "inexact cyclotomic division"
     return tuple(poly)
 
 
@@ -235,14 +235,7 @@ class CycloNumber:
     def __pow__(self, k: int) -> "CycloNumber":
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycloNumber.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, CycloNumber.from_rational(1))
 
     # -- predicates and canonical form ----------------------------------
 
@@ -254,11 +247,6 @@ class CycloNumber:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -295,30 +283,95 @@ class CycloNumber:
         return f"CycloNumber({self})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(_frac_str(c))
-            else:
-                z = f"zeta({self.n})" if i == 1 else f"zeta({self.n})^{i}"
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{_frac_str(c)}*{z}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        z = f"zeta({self.n})"
+        return _join_terms(_term(c, _mono(z, i)) for i, c in enumerate(self.coeffs) if c)
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+# -- helpers shared with the modules built on this one ----------------------
+
+
+def _power(base, k: int, one):
+    """base**k for k >= 0 by square-and-multiply; one is the unit."""
+    result = one
+    while True:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if not k:
+            return result
+        base = base * base
+
+
+def _coeff_str(c) -> str:
+    """str(c), parenthesized when it is a sum or a product."""
+    s = str(c)
+    return f"({s})" if ("+" in s[1:] or "-" in s[1:] or "*" in s) else s
+
+
+def _mono(name: str, e: int) -> str:
+    """name^e, written "" for e = 0 and name for e = 1."""
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def _term(c, mono: str) -> str:
+    """The term c*mono for a nonzero scalar c; a unit coefficient is implicit
+    unless mono is "" (the constant term)."""
+    if not mono:
+        return _coeff_str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{_coeff_str(c)}*{mono}"
+
+
+def _join_terms(terms: Iterable[str]) -> str:
+    """Join signed terms into a sum, writing "a - b" for "a + -b"; "0" if none."""
+    parts = list(terms)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+def _row_reduce(rows: Sequence[Sequence], width: int) -> tuple[list[Sequence], list[int]]:
+    """Gauss-Jordan elimination over a field on the first width columns.
+
+    Entries need only != 0 and 1 / x, so Fraction and CycloNumber both work.
+    Returns the reduced rows, pivot rows first, and the pivot columns.
+    """
+    rows = list(rows)  # row operations build new rows, so the caller's stay intact
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
+def _solve(aug: Sequence[Sequence], width: int, zero) -> Optional[list]:
+    """A solution y of A y = b for the augmented rows [A | b], A of the given
+    width, or None if the system is inconsistent; y is zero off the pivots."""
+    rows, pivots = _row_reduce(aug, width)
+    if any(row[width] != 0 for row in rows[len(pivots):]):
+        return None
+    y = [zero] * width
+    for row, c in zip(rows, pivots):
+        y[c] = row[width]
+    return y
 
 
 def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -352,37 +405,10 @@ def _embedding_matrix(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def _try_descend(x: CycloNumber, m: int) -> Optional[CycloNumber]:
     """Solve for coordinates of x in Q(zeta_m) inside Q(zeta_n); None if absent."""
-    n = x.n
-    cols = _embedding_matrix(n, m)
-    rows = euler_phi(n)
-    width = len(cols)
-    # Gaussian elimination on the augmented system A y = x.
-    aug = [[cols[j][i] for j in range(width)] + [x.coeffs[i]] for i in range(rows)]
-    piv_rows = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append(c)
-        r += 1
-        if r == rows:
-            break
-    # Consistency: rows below the pivots must have zero rhs.
-    for i in range(r, rows):
-        if aug[i][width] != 0:
-            return None
-    y = [Fraction(0)] * width
-    for i, c in enumerate(piv_rows):
-        y[c] = aug[i][width]
-    return CycloNumber(m, y)
+    cols = _embedding_matrix(x.n, m)
+    aug = [[col[i] for col in cols] + [xi] for i, xi in enumerate(x.coeffs)]
+    y = _solve(aug, len(cols), Fraction(0))
+    return None if y is None else CycloNumber(m, y)
 
 
 ZERO = CycloNumber.from_rational(0)
@@ -428,11 +454,13 @@ def is_square_constant(c: CycloNumber, field_conductor: Optional[int] = None) ->
     if c.is_zero():
         raise ValueError("square test of zero")
     n = field_conductor if field_conductor is not None else c.n
-    if n % c.n != 0:
-        raise ValueError(f"element of conductor {c.n} does not lie in Q(zeta_{n})")
+    # Containment is decided by the minimal conductor: a rational value
+    # built in Q(zeta_3) still lies in Q.
+    d = c.deflate()
+    if n % d.n != 0:
+        raise ValueError(f"element of conductor {d.n} does not lie in Q(zeta_{n})")
     if n % 2 == 0 and (n // 2) % 2 == 1:
         n //= 2  # Q(zeta_{2m}) = Q(zeta_m) for odd m
-    d = c.deflate()
     if n == 1:
         r = _rational_sqrt(d.coeffs[0])
         if r is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, _power
 from .multipoly import MultiPoly
 from .poly import RatFunc
 
@@ -212,8 +212,8 @@ def eval_ratfunc(node, var: str = "x") -> RatFunc:
         base = eval_ratfunc(node[1], var)
         k = node[2]
         if k < 0:
-            return _rat_pow(base.inverse(), -k)
-        return _rat_pow(base, k)
+            base, k = base.inverse(), -k
+        return _power(base, k, RatFunc.coerce(1, var))
     lhs = eval_ratfunc(node[1], var)
     rhs = eval_ratfunc(node[2], var)
     if kind == "+":
@@ -225,13 +225,6 @@ def eval_ratfunc(node, var: str = "x") -> RatFunc:
     if kind == "/":
         return lhs / rhs
     raise AssertionError(f"unhandled node {kind}")
-
-
-def _rat_pow(f: RatFunc, k: int) -> RatFunc:
-    out = RatFunc.coerce(1, f.var)
-    for _ in range(k):
-        out = out * f
-    return out
 
 
 def parse_expression(text: str, vars: Sequence[str]) -> MultiPoly:
@@ -246,11 +239,6 @@ def parse_ratfunc(text: str, var: str = "x") -> RatFunc:
 def parse_constant(text: str) -> CycloNumber:
     p = parse_expression(text, ())
     return p.constant_value()
-
-
-def format_cyclo(c: CycloNumber) -> str:
-    """Render a cyclotomic constant in the shared grammar."""
-    return str(c.deflate())
 
 
 def parse_tuple(text: str, vars: Sequence[str]) -> tuple[MultiPoly, ...]:

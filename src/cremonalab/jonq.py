@@ -32,9 +32,12 @@ def _cn(value) -> CycloNumber:
     return CycloNumber.coerce(value)
 
 
-def _scale_matrix(m: Mat2) -> Mat2:
-    # Pivot on the last nonzero entry so sigma forms ((0,g),(1,0)) and the
-    # identity are stored verbatim.
+def _scale_matrix(m):
+    """m divided by its last nonzero entry, for RatFunc and constant matrices.
+
+    Pivoting on the last nonzero entry stores sigma forms ((0,g),(1,0)) and
+    the identity verbatim.
+    """
     entries = [m[1][1], m[1][0], m[0][1], m[0][0]]
     pivot = next((e for e in entries if not e.is_zero()), None)
     if pivot is None:
@@ -46,15 +49,10 @@ def _scale_matrix(m: Mat2) -> Mat2:
     )
 
 
-def _scale_cmatrix(m: CMat2) -> CMat2:
-    entries = [m[1][1], m[1][0], m[0][1], m[0][0]]
-    pivot = next((e for e in entries if not e.is_zero()), None)
-    if pivot is None:
-        raise ValueError("zero matrix")
-    inv = pivot.inverse()
-    return (
-        (m[0][0] * inv, m[0][1] * inv),
-        (m[1][0] * inv, m[1][1] * inv),
+def _mat2_mul(a, b):
+    """The 2x2 product a*b, entries RatFunc or constants."""
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
     )
 
 
@@ -76,10 +74,10 @@ class JonqElement:
         )
         if self._det(mat).is_zero():
             raise ValueError("fiber matrix must be invertible")
-        if (bmat[0][0] * bmat[1][1] - bmat[0][1] * bmat[1][0]).is_zero():
+        if self._det(bmat).is_zero():
             raise ValueError("base matrix must be invertible")
         self.a = _scale_matrix(mat)
-        self.beta = _scale_cmatrix(bmat)
+        self.beta = _scale_matrix(bmat)
 
     @staticmethod
     def _det(m: Mat2) -> RatFunc:
@@ -117,29 +115,7 @@ class JonqElement:
     def compose(self, other: "JonqElement") -> "JonqElement":
         """self after other: (A1(b2(x)) * A2(x), b1 * b2)."""
         a1 = self.substitute_base(other.beta)
-        a2 = other.a
-        prod = (
-            (
-                a1[0][0] * a2[0][0] + a1[0][1] * a2[1][0],
-                a1[0][0] * a2[0][1] + a1[0][1] * a2[1][1],
-            ),
-            (
-                a1[1][0] * a2[0][0] + a1[1][1] * a2[1][0],
-                a1[1][0] * a2[0][1] + a1[1][1] * a2[1][1],
-            ),
-        )
-        b1, b2 = self.beta, other.beta
-        bprod = (
-            (
-                b1[0][0] * b2[0][0] + b1[0][1] * b2[1][0],
-                b1[0][0] * b2[0][1] + b1[0][1] * b2[1][1],
-            ),
-            (
-                b1[1][0] * b2[0][0] + b1[1][1] * b2[1][0],
-                b1[1][0] * b2[0][1] + b1[1][1] * b2[1][1],
-            ),
-        )
-        return JonqElement(prod, bprod)
+        return JonqElement(_mat2_mul(a1, other.a), _mat2_mul(self.beta, other.beta))
 
     def __mul__(self, other: "JonqElement") -> "JonqElement":
         return self.compose(other)
@@ -165,10 +141,6 @@ class JonqElement:
 
     def __repr__(self) -> str:
         return f"JonqElement(A=[[{self.a[0][0]}, {self.a[0][1]}], [{self.a[1][0]}, {self.a[1][1]}]], beta=[[{self.beta[0][0]}, {self.beta[0][1]}], [{self.beta[1][0]}, {self.beta[1][1]}]])"
-
-
-def compose_j(e1: JonqElement, e2: JonqElement) -> JonqElement:
-    return e1.compose(e2)
 
 
 def order_j(e: JonqElement, cap: int = 5040, degree_cap: int = 512):
@@ -362,14 +334,9 @@ def normalize_involution(e: JonqElement) -> NormalizationRecord:
     if not is_involution(e):
         raise ValueError("normalization requires an involution")
     m = e.a
-    sq = e.compose(e)
-    # e^2 is a scalar matrix lambda*I in GL; with canonical scaling A^2 itself
-    # gives the scalar: A^2 = (A.A), read lambda off as (A.A)[0][0] relative
-    # to scaled A. Compute directly from the unscaled product.
-    prod = (
-        (m[0][0] * m[0][0] + m[0][1] * m[1][0], m[0][0] * m[0][1] + m[0][1] * m[1][1]),
-        (m[1][0] * m[0][0] + m[1][1] * m[1][0], m[1][0] * m[0][1] + m[1][1] * m[1][1]),
-    )
+    # e^2 is the scalar lam*I in GL(2, k(x)); with A scaled canonically,
+    # lam = g of the antidiagonal form.
+    prod = _mat2_mul(m, m)
     assert prod[0][1].is_zero() and prod[1][0].is_zero() and prod[0][0] == prod[1][1]
     lam = prod[0][0]
     var = "x"
@@ -396,17 +363,7 @@ def normalize_involution(e: JonqElement) -> NormalizationRecord:
 
 def _conjugation_identity_holds(p: Mat2, s: JonqElement, e: JonqElement) -> bool:
     # check p * s = e * p projectively
-    sm = s.a
-    left = (
-        (p[0][0] * sm[0][0] + p[0][1] * sm[1][0], p[0][0] * sm[0][1] + p[0][1] * sm[1][1]),
-        (p[1][0] * sm[0][0] + p[1][1] * sm[1][0], p[1][0] * sm[0][1] + p[1][1] * sm[1][1]),
-    )
-    em = e.a
-    right = (
-        (em[0][0] * p[0][0] + em[0][1] * p[1][0], em[0][0] * p[0][1] + em[0][1] * p[1][1]),
-        (em[1][0] * p[0][0] + em[1][1] * p[1][0], em[1][0] * p[0][1] + em[1][1] * p[1][1]),
-    )
-    return _scale_matrix(left) == _scale_matrix(right)
+    return _scale_matrix(_mat2_mul(p, s.a)) == _scale_matrix(_mat2_mul(e.a, p))
 
 
 @dataclass

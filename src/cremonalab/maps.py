@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, _solve, divisors
 from .multipoly import MultiPoly, gcd_many
 
 Coeffish = Union[int, "CycloNumber"]
@@ -399,30 +399,7 @@ def in_span(p: MultiPoly, basis: Sequence[MultiPoly]) -> Optional[list[CycloNumb
     """
     monomials = sorted({m for q in basis for m in q.terms} | set(p.terms), reverse=True)
     rows = [[q.coeff(m) for q in basis] + [p.coeff(m)] for m in monomials]
-    width = len(basis)
-    # exact Gaussian elimination over the cyclotomic field
-    rank = 0
-    piv_cols: list[int] = []
-    for col in range(width):
-        piv = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                fct = rows[i][col]
-                rows[i] = [x - fct * y for x, y in zip(rows[i], rows[rank])]
-        piv_cols.append(col)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if not rows[i][width].is_zero():
-            return None
-    coords = [CycloNumber.from_rational(0)] * width
-    for i, col in enumerate(piv_cols):
-        coords[col] = rows[i][width]
-    return coords
+    return _solve(rows, len(basis), CycloNumber.from_rational(0))
 
 
 def is_fixed_point(f: ProjMap, point: ProjPoint) -> bool:
@@ -637,7 +614,7 @@ def abelian_structure_matches(elements: Sequence[ProjMap], exponents: Sequence[i
     orders = [order_of_map(g, order_cap=exponent + 1) for g in elements]
     if any(not isinstance(o, int) for o in orders):
         return False
-    for d in divisors_of(exponent):
+    for d in divisors(exponent):
         predicted = 1
         for m in exponents:
             predicted *= gcd(d, m)
@@ -645,9 +622,3 @@ def abelian_structure_matches(elements: Sequence[ProjMap], exponents: Sequence[i
         if predicted != actual:
             return False
     return True
-
-
-def divisors_of(n: int) -> list[int]:
-    from .cyclo import divisors
-
-    return divisors(n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, _join_terms, _mono, _power, _term
 
 Coeffish = Union[int, Fraction, CycloNumber]
 
@@ -177,14 +177,7 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of polynomial")
-        result = MultiPoly.constant(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.constant(self.vars, 1))
 
     def scale(self, c: Coeffish) -> "MultiPoly":
         c = CycloNumber.coerce(c)
@@ -310,30 +303,10 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for expo, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.vars, expo):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            cs = str(c)
-            wrapped = f"({cs})" if ("+" in cs[1:] or "-" in cs[1:] or "*" in cs) else cs
-            if not factors:
-                parts.append(wrapped)
-            elif c.is_one():
-                parts.append("*".join(factors))
-            elif (-c).is_one():
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(wrapped + "*" + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _join_terms(
+            _term(c, "*".join(_mono(v, e) for v, e in zip(self.vars, expo) if e))
+            for expo, c in self.sorted_terms()
+        )
 
 
 def multi_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .cyclo import CycloNumber, SquareTest, is_square_constant
+from .cyclo import CycloNumber, _join_terms, _mono, _power, _term
 
 Coeffish = Union[int, Fraction, CycloNumber]
 
@@ -116,14 +116,7 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = UniPoly.constant(1, self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, UniPoly.constant(1, self.var))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         other = _coerce_poly(other, self.var)
@@ -178,20 +171,6 @@ class UniPoly:
             acc = acc * inner + c
         return acc
 
-    def compose_mobius(self, a, b, c, d) -> "RatFunc":
-        """self((a*x+b)/(c*x+d)) as a rational function."""
-        a, b, c, d = (_coerce_poly(t, self.var) for t in (a, b, c, d))
-        num_lin = a * UniPoly.x(self.var) + b
-        den_lin = c * UniPoly.x(self.var) + d
-        n = self.degree
-        if n < 0:
-            return RatFunc(UniPoly.zero(self.var), UniPoly.constant(1, self.var))
-        num = UniPoly.zero(self.var)
-        for i, coef in enumerate(self.coeffs):
-            if not coef.is_zero():
-                num = num + coef * num_lin**i * den_lin ** (n - i)
-        return RatFunc(num, den_lin**n)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, CycloNumber)):
             other = UniPoly.constant(other, self.var)
@@ -206,33 +185,11 @@ class UniPoly:
         return f"UniPoly({self})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            if i == 0:
-                term = _coeff_str(c)
-            else:
-                xi = self.var if i == 1 else f"{self.var}^{i}"
-                if c.is_one():
-                    term = xi
-                elif (-c).is_one():
-                    term = f"-{xi}"
-                else:
-                    term = f"{_coeff_str(c)}*{xi}"
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-
-def _coeff_str(c: CycloNumber) -> str:
-    s = str(c)
-    return f"({s})" if ("+" in s[1:] or "-" in s[1:] or "*" in s) else s
+        return _join_terms(
+            _term(c, _mono(self.var, i))
+            for i, c in reversed(list(enumerate(self.coeffs)))
+            if not c.is_zero()
+        )
 
 
 def _coerce_poly(value: Union[Coeffish, UniPoly], var: str) -> UniPoly:
@@ -424,17 +381,3 @@ class RatFunc:
         if self.den.is_one():
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def det_square_class_poly(f: RatFunc) -> UniPoly:
-    """Polynomial representing the square class of f: numerator * denominator."""
-    if f.is_zero():
-        raise ValueError("square class of zero")
-    return f.num * f.den
-
-
-def square_class_of_ratfunc(f: RatFunc) -> tuple[UniPoly, CycloNumber, SquareTest]:
-    """(monic square-free radical, constant, constant square test) for f mod squares."""
-    p = det_square_class_poly(f)
-    dec = squarefree_part(p)
-    return dec.radical, dec.constant, is_square_constant(dec.constant)

@@ -75,12 +75,12 @@ class TableItem:
 
 
 def _item(name: str, fn: Callable[[], tuple[bool, str]]) -> TableItem:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         ok, detail = fn()
     except Exception as e:  # a crash is a failure with the exception recorded
-        return TableItem(name, False, f"error: {e}", time.time() - t0)
-    return TableItem(name, ok, detail, time.time() - t0)
+        return TableItem(name, False, f"error: {e}", time.perf_counter() - t0)
+    return TableItem(name, ok, detail, time.perf_counter() - t0)
 
 
 def _exceptional_counts() -> tuple[bool, str]:

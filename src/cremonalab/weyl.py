@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclo import cyclotomic_polynomial, divisors
+from .cyclo import _int_poly_divmod, _row_reduce, cyclotomic_polynomial, divisors
 from .lattice import DivClass, enumerate_exceptional
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -257,22 +257,6 @@ def charpoly(m: PicAut) -> tuple[int, ...]:
     return tuple(reversed(poly))  # ascending
 
 
-def _int_poly_divmod(num: Sequence[int], den: Sequence[int]):
-    num = [Fraction(c) for c in num]
-    dn = len(den) - 1
-    if dn < 0:
-        raise ZeroDivisionError
-    quo = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / den[dn]
-        if c:
-            quo[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-        num[i] = Fraction(0)
-    return quo, num
-
-
 def eigenvalue_multiplicities(m: PicAut, cap: int = 5040) -> dict[int, int]:
     """Multiplicity of each cyclotomic factor Phi_d of the characteristic
     polynomial, keyed by d; requires m of finite order."""
@@ -288,9 +272,7 @@ def eigenvalue_multiplicities(m: PicAut, cap: int = 5040) -> dict[int, int]:
             if any(rem):
                 break
             out[d] = out.get(d, 0) + 1
-            chi = [int(c) for c in quo]
-            while len(chi) > 1 and chi[-1] == 0:
-                chi.pop()
+            chi = quo
     if len(chi) != 1:
         raise ValueError("characteristic polynomial has a non-cyclotomic factor")
     return dict(sorted(out.items()))
@@ -309,23 +291,7 @@ def fixed_rank(gens: Sequence[PicAut]) -> int:
             rows.append(
                 [Fraction(g.matrix[i][j] - (1 if i == j else 0)) for j in range(n)]
             )
-    rank = 0
-    col = 0
-    while col < n and rank < len(rows):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return n - rank
+    return n - len(_row_reduce(rows, n)[1])
 
 
 def fixes_class(m: PicAut, c: DivClass) -> bool:

@@ -57,6 +57,8 @@ def test_order_cmd(capsys):
 def test_order_parse_error(capsys):
     code, _ = run(capsys, "order", "(y : z : q)")
     assert code == 2
+    code, _ = run(capsys, "order", "(x : y^2 : z)")  # not homogeneous
+    assert code == 2
 
 
 def test_jonq_analysis(capsys):
@@ -106,3 +108,15 @@ def test_corpus_failure_exit_code(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["enumerate", "--r", "11"]) == 2
+
+
+def test_corpus_format_error_exit_code(tmp_path, capsys):
+    # Row 1.B with 2*y^6 changed to 2*y^7: the equation is not weighted-homogeneous.
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        "1.B | W3112 | F = w^2 - z^3 - (x^4 + x*y^3 + y^4)*z - (x^6 + x*y^5 + 2*y^7) "
+        "| gen = (-w : x : y : z) | gen_orders = 2 | group = 2 | structure = 2\n"
+    )
+    code = main(["corpus", "--file", str(bad)])
+    assert code == 2
+    assert "line 1" in capsys.readouterr().err

@@ -28,6 +28,13 @@ def test_duplicate_names_rejected():
         parse_corpus(text)
 
 
+# Row 1.B of the bundled corpus with 2*y^6 changed to 2*y^7.
+ROW_1B_NOT_HOMOGENEOUS = (
+    "1.B | W3112 | F = w^2 - z^3 - (x^4 + x*y^3 + y^4)*z - (x^6 + x*y^5 + 2*y^7) "
+    "| gen = (-w : x : y : z) | gen_orders = 2 | group = 2 | structure = 2"
+)
+
+
 def test_malformed_rows_rejected():
     with pytest.raises(CorpusFormatError):
         parse_corpus("bad | P9 | gen = (x : y) | gen_orders = 1 | group = 1 | structure = 1")
@@ -35,6 +42,10 @@ def test_malformed_rows_rejected():
         parse_corpus("bad | P2 | gen = (x : y) | gen_orders = 2 | group = 2 | structure = 2")
     with pytest.raises(CorpusFormatError):
         parse_corpus("bad | P2 | gen = (x : y : z) | group = 1 | structure = 1")
+    with pytest.raises(CorpusFormatError, match="line 1"):
+        parse_corpus(ROW_1B_NOT_HOMOGENEOUS)
+    with pytest.raises(CorpusFormatError, match="line 1"):
+        parse_corpus("bad | P2 | gen = (x : y^2 : z) | gen_orders = 2 | group = 2 | structure = 2")
 
 
 def test_verify_detects_wrong_expectations():
@@ -58,6 +69,20 @@ def test_verify_detects_noninvariant_surface():
     assert not rep.passed
     labels = [c.label for c in rep.checks if not c.passed]
     assert any("invariance" in l for l in labels)
+
+
+def test_verify_second_equation_kept_first_not():
+    # The generator scales the second equation but maps the first outside
+    # the span of both: a failed invariance check, not an exception.
+    rows = parse_corpus(
+        "kept-second | P3 | F = w^2 + x^2 + y^2 + y*z | F = w*x + y^2 "
+        "| gen = (w : x : y : -z) | gen_orders = 2 | group = 2 | structure = 2"
+    )
+    rep = verify_row(rows[0])
+    failing = [c for c in rep.checks if not c.passed]
+    assert [c.label for c in failing] == ["gen1 invariance"]
+    assert failing[0].detail == "1"
+    assert [c.detail for c in rep.checks if c.label == "gen1 factor order"] == ["lambda=1"]
 
 
 def test_spotlight_row_2g44():

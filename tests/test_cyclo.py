@@ -5,6 +5,8 @@ import pytest
 
 from cremonalab.cyclo import (
     CycloNumber,
+    _row_reduce,
+    _solve,
     cyclo_reduce,
     cyclotomic_polynomial,
     euler_phi,
@@ -141,3 +143,30 @@ def test_square_randomized_roundtrip():
             t = is_square_constant(sq, n if n > 1 else None)
             assert t.status == "square"
             assert t.root * t.root == sq
+
+
+def test_row_reduce_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4420)
+    entries = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    solvable_seen = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[Fraction(rng.choice(entries)) for _ in range(n)] for _ in range(m)]
+        if m > 2 and rng.random() < 0.5:  # force a dependent row
+            a[-1] = [x + 2 * y for x, y in zip(a[0], a[1])]
+        b = [Fraction(rng.choice(entries)) for _ in range(m)]
+        sa = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in a])
+        sb = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])
+        assert len(_row_reduce(a, n)[1]) == sa.rank()
+        try:
+            sa.gauss_jordan_solve(sb)
+            solvable = True
+        except ValueError:
+            solvable = False
+        y = _solve([row + [bi] for row, bi in zip(a, b)], n, Fraction(0))
+        assert (y is not None) == solvable
+        if y is not None:
+            assert all(sum(r * v for r, v in zip(row, y)) == bi for row, bi in zip(a, b))
+        solvable_seen.add(solvable)
+    assert solvable_seen == {True, False}

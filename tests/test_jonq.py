@@ -6,7 +6,6 @@ from cremonalab.cyclo import CycloNumber
 from cremonalab.jonq import (
     JonqElement,
     build_root_odd,
-    compose_j,
     det_class,
     fourth_root_example,
     is_involution,
@@ -35,7 +34,7 @@ def rf(p):
 def test_sigma_is_involution():
     s = JonqElement.sigma(rf(x()))
     assert is_involution(s)
-    assert compose_j(s, s).is_identity()
+    assert s.compose(s).is_identity()
     assert order_j(s) == 2
 
 
@@ -156,6 +155,17 @@ def test_det_class_conjugation_invariance():
         d2 = det_class(conjugated)
         assert d1.radical == d2.radical
         assert d1.same_class(d2) is True
+
+
+def test_same_class_for_rational_g_from_conjugate_roots():
+    # g = 2(x - 2w)(x - 2w^2) = 2x^2 + 4x + 8 with w = zeta_3: its
+    # coefficients are rational, though built in Q(zeta_3).
+    w = CycloNumber.zeta(3)
+    g = UniPoly.from_roots([2 * w, 2 * w * w]) * 2
+    sigma = JonqElement.sigma(rf(g))
+    p = JonqElement(((rf(-(x() + 1)), rf(1)), (rf(-1), rf(x() + 1))))
+    conj = p.compose(sigma).compose(p.inverse())
+    assert det_class(sigma).same_class(det_class(conj)) is True
 
 
 def test_squares_are_never_twisting():
