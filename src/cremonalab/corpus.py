@@ -4,7 +4,8 @@ Each record carries an ambient, optional surface equations, generator maps
 and the expected orders, group cardinality and abelian structure.  The
 verifier replays every claim by exact symbolic computation: equation
 preservation, generator orders, commutativity, group closure and the
-solution-count fingerprint of the abelian structure.
+abelian structure, read as invariant factors off the relation lattice the
+closure meets among the generators.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .expr import parse_expression, _split_top
 from .maps import (
     NOT_INVARIANT,
     Ambient,
+    BasePointError,
+    ClosureOverflow,
     Hypersurface,
     P1xP1,
     P2,
@@ -29,6 +32,7 @@ from .maps import (
     WP3112,
     abelian_structure_matches,
     commute,
+    cyclic_invariants,
     group_closure,
     in_span,
     order_of_map,
@@ -196,21 +200,13 @@ class RowReport:
         self.checks.append(Check(label, passed, detail))
 
 
-def _is_degree_one(g: ProjMap) -> bool:
-    weights = g.ambient.var_weights()
-    return all(
-        c.is_zero() or c.weighted_degree(weights) == w
-        for w, c in zip(weights, g.components)
-    )
-
-
 def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
     rep = RowReport(row.name)
     surfaces = [Hypersurface(row.ambient, F) for F in row.equations]
     for k, g in enumerate(row.generators):
         label = f"gen{k + 1}"
         if surfaces:
-            if not _is_degree_one(g):
+            if not g.is_degree_one():
                 rep.add(f"{label} invariance", False, "generator is not degree one")
             else:
                 details = []
@@ -247,12 +243,19 @@ def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
             )
     try:
         closure = group_closure(row.generators, cap=closure_cap)
-        rep.add("group order", len(closure) == row.group_order, f"computed {len(closure)}")
-        if len(closure) == row.group_order:
-            rep.add("structure", abelian_structure_matches(closure, row.structure))
-    except Exception as e:  # closure overflow or base-locus degeneration
+    except (ClosureOverflow, BasePointError) as e:
         rep.add("group order", False, str(e))
+        return rep
+    rep.add("group order", len(closure) == row.group_order, f"computed {len(closure)}")
+    if len(closure) == row.group_order:
+        expected = _structure_str(cyclic_invariants(row.structure))
+        rep.add("structure", abelian_structure_matches(closure, row.structure),
+                f"computed {_structure_str(closure.invariants)} / expected {expected}")
     return rep
+
+
+def _structure_str(invariants: Optional[Sequence[int]]) -> str:
+    return "non-abelian" if invariants is None else ",".join(map(str, invariants)) or "1"
 
 
 def run_corpus(rows: Sequence[CorpusRow], jobs: int = 1) -> list[RowReport]:

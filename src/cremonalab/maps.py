@@ -11,9 +11,10 @@ forms is equality of maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNumber, _solve, divisors
+from .cyclo import CycloNumber, _solve
 from .multipoly import MultiPoly, gcd_many
 
 Coeffish = Union[int, "CycloNumber"]
@@ -150,6 +151,12 @@ class ProjMap:
 
     # -- canonical form and equality -----------------------------------------
 
+    def is_degree_one(self) -> bool:
+        """Every component's weighted degree equals its coordinate's weight."""
+        weights = self.ambient.var_weights()
+        return all(c.is_zero() or c.weighted_degree(weights) == w
+                   for w, c in zip(weights, self.components))
+
     def degree_profile(self) -> int:
         return max(c.total_degree() for c in self.components)
 
@@ -230,12 +237,16 @@ class ProjMap:
 def _gcd_reduce(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
     out = list(comps)
     for lo, hi in ambient.block_slices():
-        block = list(out[lo:hi])
+        block = out[lo:hi]
         nonzero = [c for c in block if not c.is_zero()]
-        g = gcd_many(nonzero)
+        # A component ell of total degree <= 1 is a unit or irreducible, so
+        # the block gcd is 1 or ell; exact division tells which.
+        ell = next((c for c in nonzero if c.total_degree() <= 1), None)
+        if ell is not None and not all(ell.divides(c) for c in nonzero):
+            continue
+        g = gcd_many(nonzero) if ell is None else ell.normalized()
         if not g.is_constant():
-            block = [c.exact_div(g) if not c.is_zero() else c for c in block]
-        out[lo:hi] = block
+            out[lo:hi] = [c.exact_div(g) if not c.is_zero() else c for c in block]
     return tuple(out)
 
 
@@ -367,12 +378,8 @@ def semi_invariance(surface: Hypersurface, f: ProjMap):
     ambient = surface.ambient
     if f.ambient != ambient:
         raise ValueError("map and surface live in different ambients")
-    weights = ambient.var_weights()
-    for w, comp in zip(weights, f.components):
-        if comp.is_zero():
-            continue
-        if comp.weighted_degree(weights) != w:
-            raise ValueError("semi-invariance needs a degree-one map")
+    if not f.is_degree_one():
+        raise ValueError("semi-invariance needs a degree-one map")
     pulled = surface.equation.subs(dict(zip(ambient.vars, f.components)))
     return scalar_multiple(pulled, surface.equation)
 
@@ -575,50 +582,89 @@ class ClosureOverflow(RuntimeError):
     pass
 
 
-def group_closure(gens: Sequence[ProjMap], cap: int = 256) -> list[ProjMap]:
-    """All products of the generators, by breadth-first multiplication."""
+class Closure(list):
+    """Group elements in breadth-first order, and the group's invariant factors."""
+    invariants: Optional[tuple[int, ...]] = None  # each > 1; None when not abelian
+
+
+def group_closure(gens: Sequence[ProjMap], cap: int = 256) -> Closure:
+    """All products of the generators, by breadth-first multiplication.
+
+    A product g*h_i landing on a known element gives the relation v + e_i - u
+    between the exponent vectors of the paths that first reached them.  By
+    Schreier's lemma Z^k modulo these relations is G's abelianization."""
     if not gens:
         raise ValueError("need at least one generator")
+    k = len(gens)
     ident = ProjMap.identity(gens[0].ambient)
-    seen: dict = {ident.canonical_key(): ident}
-    frontier = [ident]
+    seen: dict = {ident.canonical_key(): (ident, (0,) * k)}
+    frontier = [(ident, (0,) * k)]
+    relations: list[list[int]] = []  # kept in echelon form, <= k rows
     while frontier:
         nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = g.compose(h)
-                key = prod.canonical_key()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureOverflow(f"group closure exceeded {cap} elements")
-                    seen[key] = prod
-                    nxt.append(prod)
+        for g, v in frontier:
+            for i, h in enumerate(gens):
+                gh = g.compose(h)
+                w = v[:i] + (v[i] + 1,) + v[i + 1:]
+                key = gh.canonical_key()
+                if key in seen:
+                    relations = _echelon(relations + [[a - b for a, b in zip(w, seen[key][1])]])
+                    continue
+                if len(seen) >= cap:
+                    raise ClosureOverflow(f"group closure exceeded {cap} elements")
+                seen[key] = (gh, w)
+                nxt.append((gh, w))
         frontier = nxt
-    return list(seen.values())
+    out = Closure(g for g, _ in seen.values())
+    inv = tuple(d for d in smith_diagonal(relations + [[0] * k] * (k - len(relations))) if d != 1)
+    out.invariants = inv if prod(inv) == len(out) else None  # |G^ab| = |G| iff G is abelian
+    return out
 
 
-def abelian_structure_matches(elements: Sequence[ProjMap], exponents: Sequence[int]) -> bool:
-    """Check the multiset of element orders against Z/m1 x ... x Z/mk.
+def _echelon(rows) -> list[list[int]]:
+    """Echelon basis of the span of integer rows, by Euclid on each pivot column."""
+    basis: dict[int, list[int]] = {}
+    for v in map(list, rows):
+        for c in range(len(v)):
+            if v[c] == 0:
+                continue
+            if c not in basis:
+                basis[c] = v
+                break
+            row = basis[c]
+            while v[c]:
+                q = v[c] // row[c]
+                v = [y - q * x for x, y in zip(row, v)]
+                if v[c]:  # so a pivot that divides v[c] stays put
+                    row, v = v, row
+            basis[c] = row
+    return [basis[c] for c in sorted(basis)]
 
-    For finite abelian groups the counts of solutions of g^d = 1 for all d
-    determine the isomorphism type, so this is a complete test.
-    """
-    from math import gcd, lcm
 
-    expected_size = 1
-    for m in exponents:
-        expected_size *= m
-    if len(elements) != expected_size:
-        return False
-    exponent = lcm(*exponents) if exponents else 1
-    orders = [order_of_map(g, order_cap=exponent + 1) for g in elements]
-    if any(not isinstance(o, int) for o in orders):
-        return False
-    for d in divisors(exponent):
-        predicted = 1
-        for m in exponents:
-            predicted *= gcd(d, m)
-        actual = sum(1 for o in orders if d % o == 0)
-        if predicted != actual:
-            return False
-    return True
+def smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Smith normal form diagonal of an integer matrix, min(rows, columns)
+    entries each dividing the next (Cohen, Computational Algebraic Number
+    Theory, 2.4).  Row and column echelon forms alternate until each row
+    keeps one nonzero: the corner pivot only shrinks, and once it divides
+    its row and column it clears both."""
+    a = _echelon(rows)
+    while any(sum(1 for x in r if x) > 1 for r in a):
+        a = _echelon(zip(*a))
+    d = [abs(next(x for x in r if x)) for r in a]
+    for i in range(len(d)):  # gcd/lcm swaps make each entry divide the next
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d + [0] * (min(len(rows), len(rows[0]) if rows else 0) - len(d))
+
+
+def cyclic_invariants(orders: Sequence[int]) -> tuple[int, ...]:
+    """Invariant factors of Z/m1 x ... x Z/mk: (2, 2, 3) -> (2, 6), (2, 3) -> (6,)."""
+    diag = [[m if i == j else 0 for j in range(len(orders))] for i, m in enumerate(orders)]
+    return tuple(d for d in smith_diagonal(diag) if d != 1)
+
+
+def abelian_structure_matches(closure: Closure, exponents: Sequence[int]) -> bool:
+    """Whether the closure is an abelian group isomorphic to Z/m1 x ... x Z/mk:
+    the invariant factors of its relation lattice are those of diag(m1..mk)."""
+    return closure.invariants == cyclic_invariants(exponents)

@@ -34,7 +34,8 @@ from .lattice import (
     intersect,
     neighbor_profile,
 )
-from .maps import ProjMap, P2, order_of_map, commute, group_closure, verify_dp4_embedding
+from .maps import (P2, ProjMap, abelian_structure_matches, commute, group_closure,
+                   order_of_map, verify_dp4_embedding)
 from .multipoly import MultiPoly
 from .poly import RatFunc, UniPoly
 from .weyl import (
@@ -81,6 +82,12 @@ def _item(name: str, fn: Callable[[], tuple[bool, str]]) -> TableItem:
     except Exception as e:  # a crash is a failure with the exception recorded
         return TableItem(name, False, f"error: {e}", time.perf_counter() - t0)
     return TableItem(name, ok, detail, time.perf_counter() - t0)
+
+
+def _sub_checks(checks: dict[str, bool]) -> tuple[bool, str]:
+    """Pass when every named sub-check does; the detail names those that failed."""
+    failed = [name for name, ok in checks.items() if not ok]
+    return not failed, ("failed: " if failed else "all pass: ") + ", ".join(failed or checks)
 
 
 def _exceptional_counts() -> tuple[bool, str]:
@@ -153,52 +160,49 @@ def _hexagon() -> tuple[bool, str]:
 
 def _geiser_suite() -> tuple[bool, str]:
     g = make_geiser()
-    checks = [
-        g.is_weyl(),
-        order(g) == 2,
-        eigenvalue_multiplicities(g) == {1: 1, 2: 7},
-        fixed_rank([g]) == 1,
-    ]
     perm = act_on_exceptional(g)
     classes = enumerate_exceptional(7)
     k = BlowupLattice(7).canonical()
-    checks.append(all(classes[perm[i]] == k.scale(-1) - c for i, c in enumerate(classes)))
-    checks.append(sorted(len(c) for c in permutation_cycles(perm)) == [2] * 28)
     rep = orbit_divisibility([g])
-    checks.append(rep.divisibility_holds is True and rep.orbit_sizes == [2] * 28)
-    return all(checks), f"checks={checks}"
+    return _sub_checks({
+        "weyl": g.is_weyl(),
+        "order 2": order(g) == 2,
+        "eigenvalues {1: 1, 2: 7}": eigenvalue_multiplicities(g) == {1: 1, 2: 7},
+        "fixed rank 1": fixed_rank([g]) == 1,
+        "D -> -K-D": all(classes[perm[i]] == k.scale(-1) - c for i, c in enumerate(classes)),
+        "28 2-cycles": sorted(len(c) for c in permutation_cycles(perm)) == [2] * 28,
+        "orbit divisibility": rep.divisibility_holds is True and rep.orbit_sizes == [2] * 28,
+    })
 
 
 def _bertini_suite() -> tuple[bool, str]:
     b = make_bertini()
-    checks = [
-        b.is_weyl(),
-        order(b) == 2,
-        eigenvalue_multiplicities(b) == {1: 1, 2: 8},
-        fixed_rank([b]) == 1,
-    ]
     perm = act_on_exceptional(b)
     classes = enumerate_exceptional(8)
     k = BlowupLattice(8).canonical()
-    checks.append(all(classes[perm[i]] == k.scale(-2) - c for i, c in enumerate(classes)))
-    checks.append(sorted(len(c) for c in permutation_cycles(perm)) == [2] * 120)
-    return all(checks), f"checks={checks}"
+    return _sub_checks({
+        "weyl": b.is_weyl(),
+        "order 2": order(b) == 2,
+        "eigenvalues {1: 1, 2: 8}": eigenvalue_multiplicities(b) == {1: 1, 2: 8},
+        "fixed rank 1": fixed_rank([b]) == 1,
+        "D -> -2K-D": all(classes[perm[i]] == k.scale(-2) - c for i, c in enumerate(classes)),
+        "120 2-cycles": sorted(len(c) for c in permutation_cycles(perm)) == [2] * 120,
+    })
 
 
 def _dp4_involutions() -> tuple[bool, str]:
     q = make_dp4_quadratic()
     cub = make_dp4_cubic()
     lat = BlowupLattice(5)
-    checks = [
-        order(q) == 2,
-        eigenvalue_multiplicities(q) == {1: 4, 2: 2},
-        order(cub) == 2,
-        fixed_rank([cub]) == 2,
-        fixes_class(cub, lat.canonical()),
-        fixes_class(cub, lat.line() - lat.e(1)),
-        orbit_divisibility([cub]).orbit_sizes == [2] * 8,
-    ]
-    return all(checks), f"checks={checks}"
+    return _sub_checks({
+        "quadratic order 2": order(q) == 2,
+        "quadratic eigenvalues {1: 4, 2: 2}": eigenvalue_multiplicities(q) == {1: 4, 2: 2},
+        "cubic order 2": order(cub) == 2,
+        "cubic fixed rank 2": fixed_rank([cub]) == 2,
+        "cubic fixes K": fixes_class(cub, lat.canonical()),
+        "cubic fixes L-E1": fixes_class(cub, lat.line() - lat.e(1)),
+        "cubic: 8 orbits of 2": orbit_divisibility([cub]).orbit_sizes == [2] * 8,
+    })
 
 
 def _cs24_suite() -> tuple[bool, str]:
@@ -207,20 +211,17 @@ def _cs24_suite() -> tuple[bool, str]:
     g2 = ProjMap(P2, [y * z * (y - z), x * z * (y + z), x * y * (y + z)])
     minus = ProjMap(P2, [-x, y, z])
     g3 = ProjMap(P2, [x * (y + z), z * (y - z), -(y * (y - z))])
-    checks = [
-        g1.compose(g1) == minus,
-        g2.compose(g2) == minus,
-        order_of_map(g1) == 4,
-        order_of_map(g2) == 4,
-        commute(g1, g2),
-        g1.compose(g2) == g3,
-    ]
     closure = group_closure([g1, g2])
-    checks.append(len(closure) == 8)
-    from .maps import abelian_structure_matches
-
-    checks.append(abelian_structure_matches(closure, (2, 4)))
-    return all(checks), f"checks={checks}"
+    return _sub_checks({
+        "g1^2 = (-x : y : z)": g1.compose(g1) == minus,
+        "g2^2 = (-x : y : z)": g2.compose(g2) == minus,
+        "g1 order 4": order_of_map(g1) == 4,
+        "g2 order 4": order_of_map(g2) == 4,
+        "commute": commute(g1, g2),
+        "g1*g2 = g3": g1.compose(g2) == g3,
+        "group order 8": len(closure) == 8,
+        "structure 2,4": abelian_structure_matches(closure, (2, 4)),
+    })
 
 
 def _fourth_root_suite() -> tuple[bool, str]:
@@ -229,16 +230,15 @@ def _fourth_root_suite() -> tuple[bool, str]:
     a2 = a.compose(a)
     a4 = a2.compose(a2)
     x = UniPoly.x()
-    checks = [
-        a2 == ex["alpha2"],
-        a4 == ex["alpha4"],
-        order_j(a) == 8,
-        det_class(a4).radical == x**4 - 1,
-        is_twisting(a4).absolute,
-        ramification_data(a4).branch_points == 4,
-        ramification_data(a4).genus == 1,
-    ]
-    return all(checks), f"checks={checks}"
+    return _sub_checks({
+        "alpha^2": a2 == ex["alpha2"],
+        "alpha^4": a4 == ex["alpha4"],
+        "order 8": order_j(a) == 8,
+        "radical x^4 - 1": det_class(a4).radical == x**4 - 1,
+        "twisting": is_twisting(a4).absolute,
+        "4 branch points": ramification_data(a4).branch_points == 4,
+        "genus 1": ramification_data(a4).genus == 1,
+    })
 
 
 def _odd_roots() -> tuple[bool, str]:

@@ -1,5 +1,6 @@
 import pytest
 
+from cremonalab import corpus
 from cremonalab.corpus import (
     CorpusFormatError,
     load_bundled_corpus,
@@ -7,6 +8,7 @@ from cremonalab.corpus import (
     run_corpus,
     verify_row,
 )
+from cremonalab.maps import abelian_structure_matches, group_closure
 
 
 def test_bundled_corpus_parses():
@@ -109,3 +111,100 @@ def test_full_corpus_passes():
     reports = run_corpus(load_bundled_corpus())
     failing = [r.name for r in reports if not r.passed]
     assert not failing, f"failing rows: {failing}"
+
+
+def _abelian_types(n: int) -> list[tuple[int, ...]]:
+    """Every way to write n as a product of cyclic orders > 1, nondecreasing."""
+
+    def rec(n: int, least: int):
+        if n == 1:
+            yield ()
+        for m in range(least, n + 1):
+            if n % m == 0:
+                for rest in rec(n // m, m):
+                    yield (m,) + rest
+
+    return list(rec(n, 2))
+
+
+def _primary_parts(orders) -> list[int]:
+    """The prime-power cyclic factors of Z/m1 x ... x Z/mk, sorted."""
+    parts = []
+    for m in orders:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            if q > 1:
+                parts.append(q)
+            p += 1
+    return sorted(parts)
+
+
+def test_structure_check_separates_every_abelian_type_on_degree_one_rows():
+    rows = [r for r in load_bundled_corpus() if all(g.is_degree_one() for g in r.generators)]
+    assert len(rows) == 73
+    for row in rows:
+        closure = group_closure(row.generators, cap=128)
+        assert len(closure) == row.group_order, row.name
+        types = _abelian_types(row.group_order)
+        accepted = [t for t in types if abelian_structure_matches(closure, t)]
+        assert accepted == [
+            t for t in types if _primary_parts(t) == _primary_parts(row.structure)
+        ], row.name
+    assert _primary_parts((6,)) == _primary_parts((2, 3))
+    assert _primary_parts((2, 4)) != _primary_parts((8,))
+
+
+def test_structure_detail_names_both_sides():
+    rows = parse_corpus(
+        "r | P1xP1 | gen = (-x1 : x2) x (y1 : y2) | gen = (x1 : x2) x (zeta(4)*y1 : y2) "
+        "| gen_orders = 2,4 | group = 8 | structure = 8"
+    )
+    checks = {c.label: c for c in verify_row(rows[0]).checks}
+    assert not checks["structure"].passed
+    assert checks["structure"].detail == "computed 2,4 / expected 8"
+    rows = parse_corpus(
+        "r | P2 | gen = (x : y : -z) | gen = (x : zeta(3)*y : z) | gen_orders = 2,3 "
+        "| group = 6 | structure = 2,3"
+    )
+    checks = {c.label: c for c in verify_row(rows[0]).checks}
+    assert checks["structure"].passed
+    assert checks["structure"].detail == "computed 6 / expected 6"
+
+
+def test_noncommuting_pair_fails_its_row():
+    rows = parse_corpus(
+        "s3 | P2 | gen = (y : x : z) | gen = (x : z : y) | gen_orders = 2,3 "
+        "| group = 6 | structure = 6"
+    )
+    rep = verify_row(rows[0])
+    assert not rep.passed
+    checks = {c.label: c for c in rep.checks}
+    assert not checks["gen1,gen2 commute"].passed
+    assert checks["group order"].passed
+    assert not checks["structure"].passed
+    assert checks["structure"].detail == "computed non-abelian / expected 6"
+
+
+def test_closure_overflow_is_a_failed_group_order():
+    rows = parse_corpus(
+        "big | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 8 | group = 8 | structure = 8"
+    )
+    failing = [c for c in verify_row(rows[0], closure_cap=4).checks if not c.passed]
+    assert [(c.label, c.detail) for c in failing] == [
+        ("group order", "group closure exceeded 4 elements")
+    ]
+
+
+def test_internal_error_in_closure_propagates(monkeypatch):
+    def broken_closure(gens, cap):
+        raise ZeroDivisionError("internal fault")
+
+    monkeypatch.setattr(corpus, "group_closure", broken_closure)
+    rows = parse_corpus(
+        "0.2 | P2 | gen = (x : y : -z) | gen_orders = 2 | group = 2 | structure = 2"
+    )
+    with pytest.raises(ZeroDivisionError):
+        verify_row(rows[0])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -9,6 +9,7 @@ from cremonalab.maps import (
     NOT_INVARIANT,
     BasePointError,
     Hypersurface,
+    P1xP1,
     P2,
     P2xP2,
     P3,
@@ -17,8 +18,10 @@ from cremonalab.maps import (
     ProjPoint,
     WP2111,
     WP3112,
+    _gcd_reduce,
     abelian_structure_matches,
     commute,
+    cyclic_invariants,
     discriminant_dp1,
     dp4_embedding_cubics,
     fiber_type,
@@ -28,9 +31,10 @@ from cremonalab.maps import (
     kappa,
     order_of_map,
     semi_invariance,
+    smith_diagonal,
     verify_dp4_embedding,
 )
-from cremonalab.multipoly import MultiPoly
+from cremonalab.multipoly import MultiPoly, gcd_many
 from cremonalab.weyl import OVER_CAP
 
 
@@ -273,3 +277,122 @@ def test_gcd_reduction_on_construction():
     x, y, z = xyz()
     f = ProjMap(P2, [x * x, x * y, x * z])  # identity after gcd reduction
     assert f.is_identity()
+
+
+def test_smith_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(71)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [[rng.choice((0, rng.randint(-30, 30))) for _ in range(n)] for _ in range(m)]
+        s = smith_normal_form(sympy.Matrix(rows))
+        assert smith_diagonal(rows) == [abs(s[i, i]) for i in range(min(m, n))], rows
+
+
+def test_cyclic_invariants():
+    assert cyclic_invariants((2, 3)) == cyclic_invariants((6,)) == (6,)
+    assert cyclic_invariants((2, 2, 3)) == cyclic_invariants((2, 6)) == (2, 6)
+    assert cyclic_invariants((4, 6, 10)) == (2, 2, 60)
+    assert cyclic_invariants((1,)) == cyclic_invariants(()) == ()
+
+
+def _fingerprint_matches(elements, exponents) -> bool:
+    """The solution-count test: the number of g with g^d = 1, for every d,
+    fixes the type of a finite abelian group."""
+    if len(elements) != prod(exponents):
+        return False
+    exponent = lcm(*exponents)
+    orders = [order_of_map(g, order_cap=exponent + 1) for g in elements]
+    if OVER_CAP in orders:
+        return False
+    return all(
+        sum(1 for o in orders if d % o == 0) == prod(gcd(d, m) for m in exponents)
+        for d in range(1, exponent + 1)
+        if exponent % d == 0
+    )
+
+
+def test_structure_agrees_with_solution_count_fingerprint():
+    z = CycloNumber.zeta
+    # (generators as diagonal scalars on P3, the type they generate)
+    groups = [
+        ([[z(6), 1, 1, 1]], (6,)),
+        ([[-1, 1, 1, 1], [1, z(3), 1, 1]], (2, 3)),
+        ([[z(4), -1, 1, 1], [1, -1, 1, 1]], (2, 4)),
+        ([[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]], (2, 2, 2)),
+        ([[z(8), 1, 1, 1]], (8,)),
+        ([[z(4), 1, 1, 1], [1, z(4), 1, 1]], (4, 4)),
+        ([[-1, 1, 1, 1], [1, z(8), 1, 1]], (2, 8)),
+        ([[z(3), 1, 1, 1], [1, z(3), 1, 1], [1, 1, -1, 1]], (3, 3, 2)),
+    ]
+    types = {
+        6: [(6,), (2, 3), (3, 2)],
+        8: [(8,), (2, 4), (4, 2), (2, 2, 2)],
+        16: [(16,), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)],
+        18: [(18,), (3, 6), (2, 9), (2, 3, 3), (9, 2)],
+    }
+    for scalars, known in groups:
+        closure = group_closure([ProjMap.diagonal(P3, s) for s in scalars])
+        n = prod(known)
+        assert len(closure) == n
+        verdicts = [abelian_structure_matches(closure, t) for t in types[n]]
+        assert verdicts == [_fingerprint_matches(closure, t) for t in types[n]]
+        assert abelian_structure_matches(closure, known)
+
+
+def test_structure_rejects_nonabelian_group():
+    x, y, z = xyz()
+    closure = group_closure([ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])])
+    assert len(closure) == 6
+    assert closure.invariants is None
+    assert not abelian_structure_matches(closure, (6,))
+    assert not abelian_structure_matches(closure, (2, 3))
+
+
+def _gcd_reduce_by_gcd_many(ambient, comps):
+    out = list(comps)
+    for lo, hi in ambient.block_slices():
+        block = out[lo:hi]
+        g = gcd_many([c for c in block if not c.is_zero()])
+        if not g.is_constant():
+            out[lo:hi] = [c.exact_div(g) if not c.is_zero() else c for c in block]
+    return tuple(out)
+
+
+def _random_poly(rng, vars, degree):
+    """A product of `degree` nonzero random linear forms times a constant."""
+    p = MultiPoly.constant(vars, rng.choice((1, -2, 3)))
+    for _ in range(degree):
+        form = MultiPoly.zero(vars)
+        while form.is_zero():
+            for v in vars:
+                form = form + MultiPoly.variable(vars, v).scale(rng.choice((0, 0, 1, -1, 2)))
+        p = p * form
+    return p
+
+
+def test_gcd_reduce_shortcut_matches_gcd_many():
+    x, y, z = xyz()
+    zero = MultiPoly.zero(P2.vars)
+    one, two = (MultiPoly.constant(P2.vars, c) for c in (1, 2))
+    assert _gcd_reduce(P2, (x + y, 2 * x + 2 * y, zero)) == (one, two, zero)
+    rng = random.Random(77)
+    reduced = 0
+    for ambient in (P2, P1xP1, WP2111):
+        vars = ambient.vars
+        for _ in range(60):
+            comps = []
+            for lo, hi in ambient.block_slices():
+                common = _random_poly(rng, vars, rng.choice((0, 1, 1, 2)))
+                block = [common * _random_poly(rng, vars, rng.choice((0, 1, 1, 2)))
+                         if rng.random() < 0.8 else MultiPoly.zero(vars) for _ in range(hi - lo)]
+                if all(c.is_zero() for c in block):
+                    block[0] = common
+                comps.extend(block)
+            got = _gcd_reduce(ambient, tuple(comps))
+            want = _gcd_reduce_by_gcd_many(ambient, tuple(comps))
+            assert got == want and [str(c) for c in got] == [str(c) for c in want], comps
+            reduced += got != tuple(comps)
+    assert reduced > 20  # blocks with a nonconstant gcd
