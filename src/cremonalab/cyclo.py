@@ -291,15 +291,45 @@ class CycloNumber:
 
 
 def _power(base, k: int, one):
-    """base**k for k >= 0 by square-and-multiply; one is the unit."""
-    result = one
-    while True:
+    """base**k for k >= 0 by square-and-multiply; one is returned for k = 0."""
+    result = None
+    while k:
         if k & 1:
-            result = result * base
+            result = base if result is None else result * base
         k >>= 1
-        if not k:
-            return result
-        base = base * base
+        if k:
+            base = base * base
+    return one if result is None else result
+
+
+class OverCap:
+    """Sentinel for iteration that exceeded its cap."""
+
+    _instance: Optional["OverCap"] = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "OverCap"
+
+
+OVER_CAP = OverCap()
+
+
+def _order(x, cap: int, is_one, too_big=lambda acc: False):
+    """Least k <= cap with is_one(x**k), by repeated multiplication;
+    OVER_CAP past cap, or once too_big holds for a power that is not one."""
+    acc = x
+    for k in range(1, cap + 1):
+        if is_one(acc):
+            return k
+        if too_big(acc):
+            return OVER_CAP
+        acc = acc * x
+    return OVER_CAP
 
 
 def _coeff_str(c) -> str:

@@ -13,9 +13,10 @@ its radical also carries the ramification data of the fixed curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNumber, is_square_constant
+from .cyclo import CycloNumber, _order, _power, is_square_constant
 from .maps import P1xP1, ProjMap
 from .multipoly import MultiPoly
 from .poly import RatFunc, UniPoly, squarefree_part
@@ -145,18 +146,10 @@ class JonqElement:
 
 def order_j(e: JonqElement, cap: int = 5040, degree_cap: int = 512):
     """Least k with e^k = 1; OVER_CAP past either cap."""
-    from .weyl import OVER_CAP
+    def too_big(acc: JonqElement) -> bool:
+        return max(max(x.num.degree, x.den.degree) for row in acc.a for x in row) > degree_cap
 
-    acc = e
-    for k in range(1, cap + 1):
-        if acc.is_identity():
-            return k
-        if max(
-            max(x.num.degree, x.den.degree) for row in acc.a for x in row
-        ) > degree_cap:
-            return OVER_CAP
-        acc = acc.compose(e)
-    return OVER_CAP
+    return _order(e, cap, JonqElement.identity().__eq__, too_big)
 
 
 @dataclass
@@ -192,11 +185,8 @@ class SquareClass:
         constant comparison is unresolved."""
         if self.radical != other.radical:
             return False
-        n = max(self.field_conductor, other.field_conductor)
-        n = n if n % min(self.field_conductor, other.field_conductor) == 0 else (
-            self.field_conductor * other.field_conductor
-        )
-        t = is_square_constant(self.constant / other.constant, n)
+        t = is_square_constant(self.constant / other.constant,
+                               lcm(self.field_conductor, other.field_conductor))
         if t.status == "square":
             return True
         if t.status == "nonsquare":
@@ -211,8 +201,6 @@ class SquareClass:
 
 
 def _field_conductor_of(e: JonqElement) -> int:
-    from math import lcm
-
     ns = [1]
     for row in e.a:
         for entry in row:
@@ -230,11 +218,9 @@ def square_class(f: RatFunc, field_conductor: Optional[int] = None) -> SquareCla
     dec = squarefree_part(p)
     n = field_conductor
     if n is None:
-        from math import lcm
-
         ns = [c.deflate().n for c in p.coeffs]
         n = lcm(*ns) if ns else 1
-    t = is_square_constant(dec.constant, n if n % dec.constant.n == 0 else n * dec.constant.n)
+    t = is_square_constant(dec.constant, lcm(n, dec.constant.n))
     status = {
         "square": "resolved_square",
         "nonsquare": "resolved_nonsquare",
@@ -411,10 +397,7 @@ def build_root_odd(n: int, g: RatFunc) -> OddRootResult:
     sigma_target = JonqElement(((_rf(0, var), big_g), (_rf(1, var), _rf(0, var))))
     degenerate = g_xn == g_mxn
     if degenerate:
-        acc = squared_form
-        for _ in range(n - 1):
-            acc = acc.compose(squared_form)
-        final_ok = acc == sigma_target
+        final_ok = _power(squared_form, n, JonqElement.identity()) == sigma_target
         if not final_ok:
             raise RuntimeError("closed forms inconsistent in degenerate root")
         return OddRootResult(n, None, squared_form, sigma_target, True, None, final_ok)
@@ -424,10 +407,7 @@ def build_root_odd(n: int, g: RatFunc) -> OddRootResult:
     )
     sq = alpha.compose(alpha)
     square_ok = sq == squared_form
-    acc = sq
-    for _ in range(n - 1):
-        acc = acc.compose(sq)
-    final_ok = acc == sigma_target
+    final_ok = _power(sq, n, JonqElement.identity()) == sigma_target
     if not (square_ok and final_ok):
         raise RuntimeError("root verification failed: closed forms do not match")
     return OddRootResult(n, alpha, sq, sigma_target, False, square_ok, final_ok)

@@ -11,10 +11,11 @@ forms is equality of maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, prod
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNumber, _solve
+from .cyclo import CycloNumber, _order, _solve
 from .multipoly import MultiPoly, gcd_many
 
 Coeffish = Union[int, "CycloNumber"]
@@ -78,7 +79,10 @@ class ProjMap:
     Stored components are gcd-reduced per output factor but keep the scalar
     they were written with, so semi-invariance factors come out exactly as
     printed in source tables; equality and hashing go through the fully
-    scalar-normalized canonical form.
+    scalar-normalized canonical form.  Each output factor needs a nonzero
+    weight-one component: it fixes the scalar, and a map whose weight-one
+    components of one factor all vanish lands in a proper closed subset, so
+    it is not dominant and is rejected.
     """
 
     __slots__ = ("ambient", "components", "_canon")
@@ -101,8 +105,9 @@ class ProjMap:
         slices = self.ambient.block_slices()
         for (ws, _), (lo, hi) in zip(self.ambient.blocks, slices):
             block = self.components[lo:hi]
-            if all(c.is_zero() for c in block):
-                raise ValueError("all components of an output factor vanish")
+            if all(c.is_zero() for w, c in zip(ws, block) if w == 1):
+                raise ValueError("every weight-one component of an output factor vanishes:"
+                                 " the map is not dominant")
             # Uniform block degree d: component of weight w has weighted degree w*d.
             d: Optional[int] = None
             for w_out, comp in zip(ws, block):
@@ -251,32 +256,14 @@ def _gcd_reduce(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[MultiPo
 
 
 def _scalar_normalize(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:
+    # The scalar acts by mu^{w_i}; making the first nonzero weight-one
+    # component monic pins mu without root extraction.
     out = list(comps)
-    slices = ambient.block_slices()
-    for (ws, _), (lo, hi) in zip(ambient.blocks, slices):
-        block = list(out[lo:hi])
-        if all(w == 1 for w in ws):
-            lead = next(c for c in block if not c.is_zero()).leading_coeff()
-            inv = lead.inverse()
-            block = [c.scale(inv) for c in block]
-        else:
-            # The scalar acts by mu^{w_i}; making the first nonzero
-            # weight-one component monic pins mu without root extraction.
-            pivot = next(
-                (i for i, (w, c) in enumerate(zip(ws, block)) if w == 1 and not c.is_zero()),
-                None,
-            )
-            if pivot is None:
-                # No weight-one handle: uniform scaling fallback; maps with
-                # every weight-one component zero may compare unequal even
-                # when mu-related.
-                j = next(i for i, c in enumerate(block) if not c.is_zero())
-                inv = block[j].leading_coeff().inverse()
-                block = [c.scale(inv) for c in block]
-            else:
-                mu = block[pivot].leading_coeff().inverse()
-                block = [c.scale(mu**w) for w, c in zip(ws, block)]
-        out[lo:hi] = block
+    for (ws, _), (lo, hi) in zip(ambient.blocks, ambient.block_slices()):
+        block = out[lo:hi]
+        pivot = next(c for w, c in zip(ws, block) if w == 1 and not c.is_zero())
+        mu = pivot.leading_coeff().inverse()
+        out[lo:hi] = [c.scale(mu**w) for w, c in zip(ws, block)]
     return tuple(out)
 
 
@@ -319,30 +306,20 @@ class ProjPoint:
 def _points_block_equal(
     ws: Sequence[int], a: Sequence[CycloNumber], b: Sequence[CycloNumber]
 ) -> bool:
-    for x, y in zip(a, b):
-        if x.is_zero() != y.is_zero():
-            return False
-    nz = [i for i, x in enumerate(a) if not x.is_zero()]
-    if len(nz) == 1:
-        return True  # same single supporting coordinate
-    lam: Optional[CycloNumber] = None
-    for i in nz:
-        if ws[i] == 1:
-            lam = b[i] / a[i]
-            break
-    if lam is None:
-        # Solve from two coprime weights, e.g. lambda = (b_i*a_j)/(a_i*b_j)
-        # when w_i - w_j = 1.
-        for i in nz:
-            for j in nz:
-                if i != j and ws[i] - ws[j] == 1:
-                    lam = (b[i] * a[j]) / (a[i] * b[j])
-                    break
-            if lam is not None:
-                break
-    if lam is None:
+    """Whether b_i = lam^{w_i} a_i for some lam over the algebraic closure.
+
+    On a common support let r_i = b_i/a_i and u_i = w_i/d, d the gcd of the
+    support's weights.  The pairs u_j e_i - u_i e_j generate the lattice of
+    integer m with m.u = 0 (the Koszul complex of coprime u_i is exact), so
+    r_i^{u_j} = r_j^{u_i} for every pair exactly when r_i = nu^{u_i} for one
+    nu, and then lam is any d-th root of nu.
+    """
+    if any(x.is_zero() != y.is_zero() for x, y in zip(a, b)):
         return False
-    return all(b[i] == a[i] * lam ** ws[i] for i in nz)
+    nz = [i for i, x in enumerate(a) if not x.is_zero()]
+    d = gcd(*(ws[i] for i in nz))
+    r = {i: b[i] / a[i] for i in nz}
+    return all(r[i] ** (ws[j] // d) == r[j] ** (ws[i] // d) for i, j in combinations(nz, 2))
 
 
 @dataclass(frozen=True)
@@ -415,19 +392,10 @@ def is_fixed_point(f: ProjMap, point: ProjPoint) -> bool:
 
 def order_of_map(f: ProjMap, order_cap: int = 5040, degree_cap: int = 64):
     """Least k with f^k the identity; OVER_CAP past either cap."""
-    from .weyl import OVER_CAP
-
     if order_cap < 1 or degree_cap < 1:
         raise ValueError("caps must be positive")
-    ident = ProjMap.identity(f.ambient)
-    acc = f
-    for k in range(1, order_cap + 1):
-        if acc == ident:
-            return k
-        if acc.degree_profile() > degree_cap:
-            return OVER_CAP
-        acc = acc.compose(f)
-    return OVER_CAP
+    return _order(f, order_cap, ProjMap.identity(f.ambient).__eq__,
+                  lambda acc: acc.degree_profile() > degree_cap)
 
 
 def commute(f: ProjMap, g: ProjMap) -> bool:

@@ -210,13 +210,12 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 class SquareFreeDecomposition:
     """p = constant * radical * square_root**2, radical monic square-free."""
 
-    __slots__ = ("radical", "square_root", "constant", "cofactor_is_square")
+    __slots__ = ("radical", "square_root", "constant")
 
     def __init__(self, radical: UniPoly, square_root: UniPoly, constant: CycloNumber):
         self.radical = radical
         self.square_root = square_root
         self.constant = constant
-        self.cofactor_is_square = True
 
     def __repr__(self) -> str:
         return (

@@ -13,27 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclo import _int_poly_divmod, _row_reduce, cyclotomic_polynomial, divisors
+from .cyclo import (OVER_CAP, _int_poly_divmod, _order, _row_reduce, cyclotomic_polynomial,
+                    divisors)
 from .lattice import DivClass, enumerate_exceptional
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-class OverCap:
-    """Sentinel for iteration that exceeded its cap."""
-
-    _instance: Optional["OverCap"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "OverCap"
-
-
-OVER_CAP = OverCap()
 
 
 def _gram(r: int) -> Matrix:
@@ -100,9 +84,6 @@ class PicAut:
         if self.r != other.r:
             raise ValueError("lattice rank mismatch")
         return PicAut(self.r, _mat_mul(self.matrix, other.matrix), check=False)
-
-    def is_identity(self) -> bool:
-        return self.matrix == _identity(self.r + 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PicAut) and self.r == other.r and self.matrix == other.matrix
@@ -217,12 +198,7 @@ def make_dp4_cubic() -> PicAut:
 
 def order(m: PicAut, cap: int = 5040):
     """Least k >= 1 with m^k = 1, or OVER_CAP."""
-    acc = m
-    for k in range(1, cap + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * m
-    return OVER_CAP
+    return _order(m, cap, identity_aut(m.r).__eq__)
 
 
 def charpoly(m: PicAut) -> tuple[int, ...]:
@@ -307,8 +283,7 @@ def act_on_exceptional(m: PicAut) -> tuple[int, ...]:
         img = m.apply(c)
         if img not in index:
             raise ValueError(f"image {img} of {c} is not an exceptional class")
-    for c in classes:
-        images.append(index[m.apply(c)])
+        images.append(index[img])
     if sorted(images) != list(range(len(classes))):
         raise ValueError("action on exceptional classes is not a permutation")
     return tuple(images)
@@ -347,7 +322,6 @@ def orbit_divisibility(gens: Sequence[PicAut]) -> OrbitReport:
         raise ValueError("need at least one generator")
     r = gens[0].r
     classes = enumerate_exceptional(r)
-    index = {c: i for i, c in enumerate(classes)}
     perms = []
     for g in gens:
         perms.append(act_on_exceptional(g))

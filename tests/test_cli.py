@@ -87,7 +87,7 @@ def test_jonq_bad_input(capsys):
 
 def test_corpus_json_deterministic(capsys):
     code1, out1 = run(capsys, "corpus", "--json")
-    code2, out2 = run(capsys, "corpus", "--json")
+    code2, out2 = run(capsys, "corpus", "--json", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
     data = json.loads(out1)
@@ -120,3 +120,10 @@ def test_corpus_format_error_exit_code(tmp_path, capsys):
     code = main(["corpus", "--file", str(bad)])
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+    # Every weight-one component of the generator vanishes: not a birational map.
+    bad.write_text(
+        "1.B | W3112 | F = w^2 - z^3 - (x^4 + x*y^3 + y^4)*z - (x^6 + x*y^5 + 2*y^6) "
+        "| gen = (w : 0 : 0 : z) | gen_orders = 2 | group = 2 | structure = 2\n"
+    )
+    assert main(["corpus", "--file", str(bad)]) == 2
+    assert "weight-one" in capsys.readouterr().err

@@ -157,6 +157,12 @@ def test_det_class_conjugation_invariance():
         assert d1.same_class(d2) is True
 
 
+def test_same_class_tests_in_the_smallest_common_field():
+    # Q(zeta_6) and Q(zeta_10) meet in Q(zeta_30), which does not contain i,
+    # and whose squares are not decided; Q(zeta_60) would contain i.
+    assert square_class(rf(-x()), 6).same_class(square_class(rf(x()), 10)) is None
+
+
 def test_same_class_for_rational_g_from_conjugate_roots():
     # g = 2(x - 2w)(x - 2w^2) = 2x^2 + 4x + 8 with w = zeta_3: its
     # coefficients are rational, though built in Q(zeta_3).

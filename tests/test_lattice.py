@@ -115,7 +115,6 @@ def test_homaloidal():
 
 def test_arcond_unique_solution():
     assert arcond_search(1) == [(1, (0, 0, 0, 0))]
-    assert arcond_search(100) == [(1, (0, 0, 0, 0))]
     with pytest.raises(ValueError):
         arcond_search(0)
 

@@ -7,6 +7,7 @@ import pytest
 from cremonalab.cyclo import CycloNumber
 from cremonalab.maps import (
     NOT_INVARIANT,
+    Ambient,
     BasePointError,
     Hypersurface,
     P1xP1,
@@ -248,6 +249,23 @@ def test_weighted_point_degenerate_support():
     assert p != ProjPoint(WP3112, [1, 0, 0, 2])
     # points supported on a single coordinate compare by support
     assert ProjPoint(WP3112, [1, 0, 0, 0]) == ProjPoint(WP3112, [5, 0, 0, 0])
+
+
+def test_weighted_point_equality_over_the_closure():
+    # no weight-one coordinate in the support, and no two weights differing by one
+    wp124 = Ambient.weighted((1, 2, 4), ("x", "y", "z"))
+    p = ProjPoint(wp124, [0, 1, 1])
+    assert p == p
+    assert p == ProjPoint(wp124, [0, 4, 16])  # lambda = 2
+    assert p == ProjPoint(wp124, [0, -4, 16])  # lambda = 2i
+    assert p != ProjPoint(wp124, [0, 1, -1])
+
+
+def test_map_without_a_weight_one_component_is_rejected():
+    w, z = (MultiPoly.variable(WP3112.vars, n) for n in ("w", "z"))
+    zero = MultiPoly.zero(WP3112.vars)
+    with pytest.raises(ValueError, match="weight-one"):
+        ProjMap(WP3112, [w, zero, zero, z])
 
 
 def test_dp4_embedding_symbolic():

@@ -1,3 +1,6 @@
+import pytest
+
+from cremonalab import tables
 from cremonalab.tables import _sub_checks, run_verify_tables
 
 
@@ -16,3 +19,12 @@ def test_failing_sub_check_is_named():
         "failed: fixed rank 1, weyl",
     )
     assert _sub_checks({"order 2": True, "weyl": True}) == (True, "all pass: order 2, weyl")
+
+
+def test_internal_error_in_an_item_propagates(monkeypatch):
+    def broken():
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(tables, "_exceptional_counts", broken)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        run_verify_tables(include_corpus=False)
