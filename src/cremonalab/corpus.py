@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .cyclo import CycloNumber
-from .expr import parse_expression, _split_top
+from .expr import _split_top, parse_expression, parse_tuple
 from .maps import (
     NOT_INVARIANT,
     Ambient,
@@ -69,48 +69,24 @@ class CorpusFormatError(ValueError):
 
 
 def _parse_component_tuples(text: str, ambient: Ambient) -> ProjMap:
-    """Parse "(..:..)" or "(..:..) x (..:..)" into a map on the ambient."""
-    groups: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    between: list[str] = []
-    for ch in text:
-        if ch == "(":
-            if depth == 0:
-                if any(c not in " x\t" for c in between):
-                    raise CorpusFormatError(f"unexpected separator {''.join(between)!r}")
-                between = []
-                cur = []
-            else:
-                cur.append(ch)
-            depth += 1
-            continue
-        if ch == ")":
-            depth -= 1
-            if depth == 0:
-                groups.append("".join(cur))
-            else:
-                cur.append(ch)
-            continue
-        if depth == 0:
-            between.append(ch)
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise CorpusFormatError(f"unbalanced parentheses in {text!r}")
-    slices = ambient.block_slices()
+    """Parse "(..:..)" or "(..:..) x (..:..)" into a map on the ambient.
+
+    The variables sit inside the parentheses, so an x at depth 0 separates
+    tuples; anything else between them fails to parse as a tuple.
+    """
+    groups = _split_top(text, "x")
     if len(groups) != len(ambient.blocks):
         raise CorpusFormatError(
             f"expected {len(ambient.blocks)} component tuples, found {len(groups)}"
         )
     comps: list[MultiPoly] = []
-    for grp, (lo, hi) in zip(groups, slices):
-        parts = _split_top(grp, ":")
+    for grp, (lo, hi) in zip(groups, ambient.block_slices()):
+        parts = parse_tuple(grp, ambient.vars)
         if len(parts) != hi - lo:
             raise CorpusFormatError(
-                f"expected {hi - lo} components in tuple ({grp}), found {len(parts)}"
+                f"expected {hi - lo} components in tuple {grp.strip()}, found {len(parts)}"
             )
-        comps.extend(parse_expression(p, ambient.vars) for p in parts)
+        comps.extend(parts)
     try:
         return ProjMap(ambient, comps)
     except ValueError as e:  # the components do not define a map of the ambient

@@ -6,6 +6,10 @@ the first, each taken up to scalar.  The action is
 (x, y) -> (beta(x), A(x)(y)), so composition substitutes beta_2 into A_1:
 (A_1, b_1) o (A_2, b_2) = (A_1(b_2(x)) * A_2(x), b_1 * b_2).
 
+A is stored as a primitive matrix m over k[x] whose pivot, the last nonzero
+entry in the order m11, m10, m01, m00, is monic: one representative of A up
+to k(x)* scalars, so equality is equality of m and beta.
+
 The square class of det(A) in k(x)*/k(x)*^2 detects twisting involutions;
 its radical also carries the ramification data of the fixed curve.
 """
@@ -16,12 +20,13 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNumber, _order, _power, is_square_constant
+from .cyclo import OVER_CAP, CycloNumber, _order, _power, is_square_constant
 from .maps import P1xP1, ProjMap
 from .multipoly import MultiPoly
-from .poly import RatFunc, UniPoly, squarefree_part
+from .poly import RatFunc, UniPoly, poly_gcd, squarefree_part
 
 Mat2 = tuple[tuple[RatFunc, RatFunc], tuple[RatFunc, RatFunc]]
+PMat2 = tuple[tuple[UniPoly, UniPoly], tuple[UniPoly, UniPoly]]
 CMat2 = tuple[tuple[CycloNumber, CycloNumber], tuple[CycloNumber, CycloNumber]]
 
 
@@ -29,60 +34,92 @@ def _rf(value, var="x") -> RatFunc:
     return RatFunc.coerce(value, var)
 
 
-def _cn(value) -> CycloNumber:
-    return CycloNumber.coerce(value)
+def _pivot(m):
+    """The last nonzero entry of m in the order m11, m10, m01, m00, so that
+    sigma forms ((0,g),(1,0)) and the identity are stored verbatim."""
+    return next(e for e in (m[1][1], m[1][0], m[0][1], m[0][0]) if not e.is_zero())
 
 
-def _scale_matrix(m):
-    """m divided by its last nonzero entry, for RatFunc and constant matrices.
+def _scale_matrix(m: CMat2) -> CMat2:
+    """A constant matrix divided by its pivot."""
+    inv = _pivot(m).inverse()
+    return tuple(tuple(e * inv for e in row) for row in m)
 
-    Pivoting on the last nonzero entry stores sigma forms ((0,g),(1,0)) and
-    the identity verbatim.
-    """
-    entries = [m[1][1], m[1][0], m[0][1], m[0][0]]
-    pivot = next((e for e in entries if not e.is_zero()), None)
-    if pivot is None:
-        raise ValueError("zero matrix")
-    inv = pivot.inverse()
-    return (
-        (m[0][0] * inv, m[0][1] * inv),
-        (m[1][0] * inv, m[1][1] * inv),
-    )
+
+def _primitive(m: PMat2) -> PMat2:
+    """m divided by the gcd of its entries, with the pivot made monic."""
+    g = UniPoly.zero()
+    for e in (m[1][1], m[1][0], m[0][1], m[0][0]):
+        g = poly_gcd(g, e)
+        if g.is_one():
+            break
+    else:
+        m = tuple(tuple(e.exact_div(g) for e in row) for row in m)
+    # every coefficient is written over one Q(zeta_n), n the lcm of their conductors
+    n = lcm(*(c.n for row in m for e in row for c in e.coeffs))
+    inv = _pivot(m).leading().inverse().promote(n)
+    return tuple(tuple(e * inv for e in row) for row in m)
 
 
 def _mat2_mul(a, b):
-    """The 2x2 product a*b, entries RatFunc or constants."""
+    """The 2x2 product a*b, entries RatFunc, UniPoly or constants."""
     return tuple(
         tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
     )
 
 
-class JonqElement:
-    """Element of PGL(2, k(x)) x| PGL(2, k), canonically scaled."""
+def _det(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
-    __slots__ = ("a", "beta")
+
+def _adjugate(m):
+    """The adjugate, the inverse of m up to the scalar det(m)."""
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+
+
+def _substitute_base(m: PMat2, beta: CMat2) -> PMat2:
+    """m(beta(x)) up to a common scalar: each entry e becomes
+    e((px + q)/(rx + s)) * (rx + s)^n, with n the top degree of m."""
+    if beta == ((1, 0), (0, 1)):
+        return m
+    (p, q), (r, s) = beta
+    top = max((e for row in m for e in row), key=lambda e: e.degree)
+    n, var = top.degree, top.var
+    num, den = UniPoly((q, p), var), UniPoly((s, r), var)
+    lifts = [num**i * den ** (n - i) for i in range(n + 1)]
+    return tuple(
+        tuple(sum((lift * c for lift, c in zip(lifts, e.coeffs)), UniPoly.zero(var)) for e in row)
+        for row in m
+    )
+
+
+class JonqElement:
+    """Element of PGL(2, k(x)) x| PGL(2, k): a primitive fiber matrix m over
+    k[x] with monic pivot, and a base matrix beta with pivot 1."""
+
+    __slots__ = ("m", "beta")
 
     def __init__(self, a: Sequence[Sequence], beta: Optional[Sequence[Sequence]] = None):
-        mat: Mat2 = (
-            (_rf(a[0][0]), _rf(a[0][1])),
-            (_rf(a[1][0]), _rf(a[1][1])),
-        )
-        if beta is None:
-            beta = ((1, 0), (0, 1))
-        bmat: CMat2 = (
-            (_cn(beta[0][0]), _cn(beta[0][1])),
-            (_cn(beta[1][0]), _cn(beta[1][1])),
-        )
-        if self._det(mat).is_zero():
+        entries = [_rf(a[i][j]) for i in range(2) for j in range(2)]
+        den = UniPoly.constant(1)
+        for f in entries:
+            den = den * f.den.exact_div(poly_gcd(den, f.den))
+        m00, m01, m10, m11 = (f.num * den.exact_div(f.den) for f in entries)
+        mat: PMat2 = ((m00, m01), (m10, m11))
+        bmat: CMat2 = tuple(tuple(CycloNumber.coerce(c) for c in row)
+                            for row in beta or ((1, 0), (0, 1)))
+        if _det(mat).is_zero():
             raise ValueError("fiber matrix must be invertible")
-        if self._det(bmat).is_zero():
+        if _det(bmat).is_zero():
             raise ValueError("base matrix must be invertible")
-        self.a = _scale_matrix(mat)
-        self.beta = _scale_matrix(bmat)
+        self.m, self.beta = _primitive(mat), _scale_matrix(bmat)
 
     @staticmethod
-    def _det(m: Mat2) -> RatFunc:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    def _of(m: PMat2, beta: CMat2) -> "JonqElement":
+        """The element of invertible polynomial and base matrices, made canonical."""
+        e = object.__new__(JonqElement)
+        e.m, e.beta = _primitive(m), _scale_matrix(beta)
+        return e
 
     @staticmethod
     def identity() -> "JonqElement":
@@ -100,34 +137,31 @@ class JonqElement:
     def base_only(beta: Sequence[Sequence]) -> "JonqElement":
         return JonqElement(((1, 0), (0, 1)), beta)
 
-    def det(self) -> RatFunc:
-        return self._det(self.a)
+    @property
+    def a(self) -> Mat2:
+        """A over k(x), divided by its pivot."""
+        pivot = _pivot(self.m)
+        return tuple(tuple(RatFunc(e, pivot) for e in row) for row in self.m)
+
+    def det(self) -> UniPoly:
+        """det(m), det(A) times a square with leading coefficient 1."""
+        return _det(self.m)
 
     def has_trivial_base(self) -> bool:
-        return self.beta == ((_cn(1), _cn(0)), (_cn(0), _cn(1)))
-
-    def substitute_base(self, beta: CMat2) -> Mat2:
-        p, q = beta[0]
-        r, s = beta[1]
-        return tuple(
-            tuple(entry.substitute_mobius(p, q, r, s) for entry in row) for row in self.a
-        )
+        return self.beta == ((1, 0), (0, 1))
 
     def compose(self, other: "JonqElement") -> "JonqElement":
         """self after other: (A1(b2(x)) * A2(x), b1 * b2)."""
-        a1 = self.substitute_base(other.beta)
-        return JonqElement(_mat2_mul(a1, other.a), _mat2_mul(self.beta, other.beta))
+        a1 = _substitute_base(self.m, other.beta)
+        return JonqElement._of(_mat2_mul(a1, other.m), _mat2_mul(self.beta, other.beta))
 
     def __mul__(self, other: "JonqElement") -> "JonqElement":
         return self.compose(other)
 
     def inverse(self) -> "JonqElement":
-        b = self.beta
-        binv: CMat2 = ((b[1][1], -b[0][1]), (-b[1][0], b[0][0]))
-        tmp = JonqElement(self.a, binv)
-        a_at = tmp.substitute_base(binv)
-        adj = ((a_at[1][1], -a_at[0][1]), (-a_at[1][0], a_at[0][0]))
-        return JonqElement(adj, binv)
+        """(A(b^-1(x))^-1, b^-1), both inverses taken as adjugates."""
+        binv = _adjugate(self.beta)
+        return JonqElement._of(_adjugate(_substitute_base(self.m, binv)), binv)
 
     def is_identity(self) -> bool:
         return self == JonqElement.identity()
@@ -135,21 +169,34 @@ class JonqElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JonqElement):
             return NotImplemented
-        return self.a == other.a and self.beta == other.beta
+        return self.m == other.m and self.beta == other.beta
 
     def __hash__(self) -> int:
-        return hash((self.a, tuple(tuple(c.deflate().coeffs for c in row) for row in self.beta)))
+        return hash((self.m, tuple(tuple(c.deflate().coeffs for c in row) for row in self.beta)))
 
     def __repr__(self) -> str:
-        return f"JonqElement(A=[[{self.a[0][0]}, {self.a[0][1]}], [{self.a[1][0]}, {self.a[1][1]}]], beta=[[{self.beta[0][0]}, {self.beta[0][1]}], [{self.beta[1][0]}, {self.beta[1][1]}]])"
+        a = self.a
+        return f"JonqElement(A=[[{a[0][0]}, {a[0][1]}], [{a[1][0]}, {a[1][1]}]], beta=[[{self.beta[0][0]}, {self.beta[0][1]}], [{self.beta[1][0]}, {self.beta[1][1]}]])"
 
 
-def order_j(e: JonqElement, cap: int = 5040, degree_cap: int = 512):
-    """Least k with e^k = 1; OVER_CAP past either cap."""
-    def too_big(acc: JonqElement) -> bool:
-        return max(max(x.num.degree, x.den.degree) for row in acc.a for x in row) > degree_cap
+def order_j(e: JonqElement, cap: int = 5040):
+    """Least k <= cap with e^k = 1; OVER_CAP past cap or on proven infinite order.
 
-    return _order(e, cap, JonqElement.identity().__eq__, too_big)
+    With b the order of the base, e^b has trivial base.  Were its order
+    finite, its eigenvalue ratio would be a root of unity z, and
+    tr^2/det = 2 + z + 1/z algebraic over k, hence a constant of k(x); a
+    nonconstant tr^2/det proves the order infinite.
+    """
+    one = JonqElement.identity()
+    b = _order(JonqElement.base_only(e.beta), cap, one.__eq__)
+    if b is OVER_CAP:
+        return OVER_CAP
+    f = _power(e, b, one)
+    tr = f.m[0][0] + f.m[1][1]
+    if not RatFunc(tr * tr, f.det()).is_constant():
+        return OVER_CAP
+    k = _order(f, cap // b, one.__eq__)
+    return OVER_CAP if k is OVER_CAP else b * k
 
 
 @dataclass
@@ -201,17 +248,12 @@ class SquareClass:
 
 
 def _field_conductor_of(e: JonqElement) -> int:
-    ns = [1]
-    for row in e.a:
-        for entry in row:
-            for p in (entry.num, entry.den):
-                ns.extend(c.deflate().n for c in p.coeffs)
-    for row in e.beta:
-        ns.extend(c.deflate().n for c in row)
-    return lcm(*ns)
+    ns = [c.deflate().n for row in e.m for entry in row for c in entry.coeffs]
+    return lcm(1, *ns, *(c.deflate().n for row in e.beta for c in row))
 
 
-def square_class(f: RatFunc, field_conductor: Optional[int] = None) -> SquareClass:
+def square_class(f: Union[RatFunc, UniPoly], field_conductor: Optional[int] = None) -> SquareClass:
+    f = _rf(f)
     if f.is_zero():
         raise ValueError("square class of zero")
     p = f.num * f.den
@@ -304,10 +346,6 @@ class NormalizationRecord:
     verified: bool
 
 
-def _mat_vec2(m: Mat2, v: tuple[RatFunc, RatFunc]) -> tuple[RatFunc, RatFunc]:
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
 def normalize_involution(e: JonqElement) -> NormalizationRecord:
     """Conjugate an involution of PGL(2, k(x)) to its antidiagonal form.
 
@@ -325,18 +363,10 @@ def normalize_involution(e: JonqElement) -> NormalizationRecord:
     prod = _mat2_mul(m, m)
     assert prod[0][1].is_zero() and prod[1][0].is_zero() and prod[0][0] == prod[1][1]
     lam = prod[0][0]
-    var = "x"
-    xpoly = UniPoly.x(var)
-    candidates = [
-        (RatFunc.coerce(1, var), RatFunc.coerce(0, var)),
-        (RatFunc.coerce(0, var), RatFunc.coerce(1, var)),
-        (RatFunc.coerce(1, var), RatFunc.coerce(1, var)),
-        (RatFunc(xpoly), RatFunc.coerce(1, var)),
-        (RatFunc(xpoly + 1), RatFunc.coerce(1, var)),
-        (RatFunc(xpoly**2), RatFunc.coerce(1, var)),
-    ]
-    for v in candidates:
-        w = _mat_vec2(m, v)
+    x = UniPoly.x()
+    for v0, v1 in ((1, 0), (0, 1), (1, 1), (x, 1), (x + 1, 1), (x**2, 1)):
+        v = (_rf(v0), _rf(v1))
+        w = (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
         detp = v[0] * w[1] - v[1] * w[0]
         if detp.is_zero():
             continue  # v is an eigenvector; try the next one
@@ -349,7 +379,7 @@ def normalize_involution(e: JonqElement) -> NormalizationRecord:
 
 def _conjugation_identity_holds(p: Mat2, s: JonqElement, e: JonqElement) -> bool:
     # check p * s = e * p projectively
-    return _scale_matrix(_mat2_mul(p, s.a)) == _scale_matrix(_mat2_mul(e.a, p))
+    return JonqElement(_mat2_mul(p, s.a)) == JonqElement(_mat2_mul(e.a, p))
 
 
 @dataclass
@@ -439,33 +469,13 @@ def fourth_root_example() -> dict[str, JonqElement]:
 def to_bihomogeneous(e: JonqElement) -> ProjMap:
     """The element as a bidegree-(d, 1) self-map of P1 x P1."""
     vars = P1xP1.vars  # (x1, x2, y1, y2)
-    x1 = MultiPoly.variable(vars, "x1")
-    x2 = MultiPoly.variable(vars, "x2")
-    y1 = MultiPoly.variable(vars, "y1")
-    y2 = MultiPoly.variable(vars, "y2")
+    x1, x2, y1, y2 = (MultiPoly.variable(vars, v) for v in vars)
     b = e.beta
     first = [x1.scale(b[0][0]) + x2.scale(b[0][1]), x1.scale(b[1][0]) + x2.scale(b[1][1])]
-    # Clear denominators of A and homogenize entries to a common x-degree.
-    lcm_den = UniPoly.constant(1)
-    for row in e.a:
-        for entry in row:
-            from .poly import poly_gcd
-
-            gcd_ = poly_gcd(lcm_den, entry.den)
-            lcm_den = lcm_den * entry.den.exact_div(gcd_)
-    cleared = [[(entry * RatFunc(lcm_den)) for entry in row] for row in e.a]
-    polys = []
-    maxdeg = 0
-    for row in cleared:
-        for entry in row:
-            assert entry.den.is_one()
-            polys.append(entry.num)
-            maxdeg = max(maxdeg, entry.num.degree)
+    polys = [entry for row in e.m for entry in row]
+    maxdeg = max(p.degree for p in polys)
     homog = [_homogenize_binary(p, maxdeg, x1, x2) for p in polys]
-    second = [
-        homog[0] * y1 + homog[1] * y2,
-        homog[2] * y1 + homog[3] * y2,
-    ]
+    second = [homog[0] * y1 + homog[1] * y2, homog[2] * y1 + homog[3] * y2]
     return ProjMap(P1xP1, first + second)
 
 

@@ -340,23 +340,6 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero rational function")
         return RatFunc(self.den, self.num)
 
-    def substitute_mobius(self, a, b, c, d) -> "RatFunc":
-        """self((a*x+b)/(c*x+d)); degree padding keeps the substitution exact."""
-        n = max(self.num.degree, self.den.degree, 0)
-        var = self.var
-        lin_num = _coerce_poly(a, var) * UniPoly.x(var) + _coerce_poly(b, var)
-        lin_den = _coerce_poly(c, var) * UniPoly.x(var) + _coerce_poly(d, var)
-
-        def lift(p: UniPoly) -> UniPoly:
-            acc = UniPoly.zero(var)
-            for i in range(p.degree + 1):
-                ci = p[i]
-                if not ci.is_zero():
-                    acc = acc + ci * lin_num**i * lin_den ** (n - i)
-            return acc
-
-        return RatFunc(lift(self.num), lift(self.den))
-
     def evaluate(self, value: Coeffish) -> CycloNumber:
         den = self.den.evaluate(value)
         if den.is_zero():

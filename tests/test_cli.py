@@ -127,3 +127,7 @@ def test_corpus_format_error_exit_code(tmp_path, capsys):
     )
     assert main(["corpus", "--file", str(bad)]) == 2
     assert "weight-one" in capsys.readouterr().err
+    # Only whitespace and one x may stand between component tuples.
+    for bad_map in ("x(x : y : z)", "(x : y : z) x"):
+        assert main(["compose", bad_map, "(x : y : z)"]) == 2
+        assert "component tuples" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cremonalab.cyclo import CycloNumber
+from cremonalab.cyclo import OVER_CAP, CycloNumber
 from cremonalab.jonq import (
     JonqElement,
     build_root_odd,
@@ -53,6 +53,106 @@ def test_group_axioms_randomized():
         assert a.compose(b.compose(c)) == a.compose(b).compose(c)
         assert a.compose(ident) == a and ident.compose(a) == a
         assert a.compose(a.inverse()).is_identity()
+
+
+def test_compose_substitutes_the_base():
+    # x -> 1/x fixes x/(x^2+1), and x -> x+1 sends x+1 to x+2
+    g = RatFunc(x(), x() ** 2 + 1)
+    flip = ((0, 1), (1, 0))
+    fixed = JonqElement(((g, 0), (0, 1))).compose(JonqElement.base_only(flip))
+    assert fixed == JonqElement(((g, 0), (0, 1)), flip)
+    shift = ((1, 1), (0, 1))
+    moved = JonqElement(((rf(x() + 1), 0), (0, 1))).compose(JonqElement.base_only(shift))
+    assert moved.a[0][0] == rf(x() + 2)
+    assert moved == JonqElement(((rf(x() + 2), 0), (0, 1)), shift)
+
+
+def test_compose_and_inverse_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    K = sympy.QQ.algebraic_field(sympy.I)
+    R, u = sympy.ring("t", K)
+    F, t = sympy.field("t", K)
+    i = CycloNumber.zeta(4)
+
+    def number(c):  # a + b*zeta(4) as a + b*I
+        a, b = (sympy.QQ(q.numerator, q.denominator) for q in c.promote(4).coeffs)
+        return K([b, a])
+
+    def value(p, at):
+        return sum((number(c) * at**k for k, c in enumerate(p.coeffs)), at * 0)
+
+    # 2x2 matrices as lists [m00, m01, m10, m11]
+    def fiber(e, at=t):
+        return [value(f.num, at) / value(f.den, at) for row in e.a for f in row]
+
+    def base(e):
+        return [number(c) for row in e.beta for c in row]
+
+    def mul(a, b):
+        return [a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]]
+
+    def adjugate(a):
+        return [a[3], -a[1], -a[2], a[0]]
+
+    def same(got, expected):  # got equals expected divided by its pivot
+        pivot = next(e for e in reversed(expected) if e)
+        return all(not (g - e / pivot) for g, e in zip(got, expected))
+
+    def mobius(b):
+        return (b[0] * t + b[1]) / (b[2] * t + b[3])
+
+    def canonical(e):  # primitive with a monic pivot
+        m = [value(p, u) for row in e.m for p in row]
+        content = m[0]
+        for p in m[1:]:
+            content = content.gcd(p)
+        return content == R.one and next(p for p in reversed(m) if p).LC == K.one
+
+    rng = random.Random(1729)
+
+    def rp():
+        return UniPoly([rng.choice((-2, -1, 0, 1, 2, i, 1 - i)) for _ in range(rng.randint(1, 3))])
+
+    def element():
+        base_choice = rng.choice((((1, 0), (0, 1)), ((i, 0), (0, 1)), ((0, 1), (1, 0)),
+                                  ((1, 1), (0, 1)), ((2, i), (1, 1))))
+        while True:
+            a, b, c, d, den = rp(), rp(), rp(), rp(), rp()
+            if not den.is_zero() and not (a * d * den - b * c).is_zero():
+                return JonqElement(((RatFunc(a), RatFunc(b, den)), (RatFunc(c), RatFunc(d))),
+                                   base_choice)
+
+    for _ in range(12):
+        e1, e2 = element(), element()
+        product = e1.compose(e2)
+        assert same(fiber(product), mul(fiber(e1, mobius(base(e2))), fiber(e2)))
+        assert same(base(product), mul(base(e1), base(e2)))
+        assert canonical(product)
+        inverse = e1.inverse()
+        binv = adjugate(base(e1))
+        assert same(fiber(inverse), adjugate(fiber(e1, mobius(binv))))
+        assert same(base(inverse), binv)
+        assert canonical(inverse)
+
+
+def test_order_j_stops_on_proven_infinite_order(monkeypatch):
+    calls = 0
+    compose = JonqElement.compose
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        if calls > 20:
+            raise AssertionError("order_j is still composing")
+        return compose(self, other)
+
+    monkeypatch.setattr(JonqElement, "compose", counted)
+    # tr^2/det = -4x^2 is not constant, so no power is the identity
+    assert order_j(JonqElement(((rf(x()), rf(x() ** 2 + 1)), (rf(1), rf(x()))))) is OVER_CAP
+    # the base x -> -x has order 2; the square diag(-x^2, 1) has nonconstant tr^2/det
+    assert order_j(JonqElement(((rf(x()), rf(0)), (rf(0), rf(1))), ((-1, 0), (0, 1)))) is OVER_CAP
+    assert order_j(JonqElement.base_only(((0, 1), (1, 0)))) == 2
 
 
 def test_fourth_root_example():

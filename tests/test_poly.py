@@ -92,12 +92,44 @@ def test_ratfunc_reduction_and_ops():
         RatFunc(x(), UniPoly.zero())
 
 
-def test_ratfunc_mobius_substitution():
-    g = RatFunc(x(), x() ** 2 + 1)
-    # x -> 1/x leaves x/(x^2+1) invariant
-    assert g.substitute_mobius(0, 1, 1, 0) == g
-    h = RatFunc(x() + 1)
-    assert h.substitute_mobius(1, 1, 0, 1) == RatFunc(x() + 2)  # x -> x+1
+def _random_poly(rng, n, degree):
+    def coeff():
+        c = CycloNumber.from_rational(rng.randint(-2, 3))
+        return c if n == 1 else c + rng.randint(-2, 2) * CycloNumber.zeta(4)
+    return UniPoly([coeff() for _ in range(degree + 1)])
+
+
+def test_gcd_and_squarefree_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    K = sympy.QQ.algebraic_field(sympy.I)  # rational inputs have the same gcd and sqf over Q
+
+    def number(c):  # a + b*zeta(4) as a + b*I
+        a, b = (sympy.QQ(q.numerator, q.denominator) for q in c.promote(4).coeffs)
+        return K([b, a])
+
+    def sp(p):
+        return sympy.Poly.from_list([number(c) for c in reversed(p.coeffs)], X, domain=K)
+
+    rng = random.Random(2718)
+    for n in (1, 4):
+        for _ in range(20):
+            common = _random_poly(rng, n, rng.randint(0, 2))
+            a = common * _random_poly(rng, n, rng.randint(0, 3))
+            b = common * _random_poly(rng, n, rng.randint(0, 3))
+            if a.is_zero() or b.is_zero():
+                continue
+            assert sp(poly_gcd(a, b)) == sp(a).gcd(sp(b)).monic()
+            p = a * common**2  # common divides p three times
+            dec = squarefree_part(p)
+            lead, factors = sp(p).sqf_list()
+            radical = root = sp(UniPoly.constant(1))
+            for f, k in factors:
+                radical = radical * f ** (k % 2)
+                root = root * f ** (k // 2)
+            assert sp(dec.radical) == radical.monic()
+            assert sp(dec.square_root) == root.monic()
+            assert number(dec.constant) == K.convert(lead)
 
 
 def test_compose_poly():
