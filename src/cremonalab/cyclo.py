@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -470,92 +470,66 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
+def conductor_of(values: Iterable[Scalar]) -> int:
+    """The conductor of the smallest Q(zeta_N) holding every value: the lcm of
+    their deflated conductors, 1 for none."""
+    return lcm(1, *(CycloNumber.coerce(v).deflate().n for v in values))
+
+
 def is_square_constant(c: CycloNumber, field_conductor: Optional[int] = None) -> SquareTest:
     """Exact square test in Q(zeta_n) for n in {1, 2, 3, 4, 6}; else indeterminate.
 
     The answer depends on the ambient field: -3 is a square in Q(zeta_3) but
-    not in Q.  By default the field is the one the element was constructed
-    in; pass field_conductor to test inside a larger field.  Conductors
-    outside the resolved range would need number-field factorization, which
-    is out of scope, so the answer there is a positive certificate when one
-    is found in a resolved subfield and indeterminate otherwise.
+    not in Q.  By default the field is the smallest one holding c, whatever
+    conductor c is stored at; pass field_conductor to test inside a larger
+    field.  Conductors outside the resolved range would need number-field
+    factorization, which is out of scope, so the answer there is a positive
+    certificate when one is found in a resolved subfield and indeterminate
+    otherwise.
     """
     c = CycloNumber.coerce(c)
     if c.is_zero():
         raise ValueError("square test of zero")
-    n = field_conductor if field_conductor is not None else c.n
-    # Containment is decided by the minimal conductor: a rational value
-    # built in Q(zeta_3) still lies in Q.
     d = c.deflate()
+    n = field_conductor if field_conductor is not None else d.n
     if n % d.n != 0:
         raise ValueError(f"element of conductor {d.n} does not lie in Q(zeta_{n})")
-    if n % 2 == 0 and (n // 2) % 2 == 1:
+    if n % 4 == 2:
         n //= 2  # Q(zeta_{2m}) = Q(zeta_m) for odd m
-    if n == 1:
-        r = _rational_sqrt(d.coeffs[0])
-        if r is not None:
-            return SquareTest("square", CycloNumber.from_rational(r))
-        return SquareTest("nonsquare")
-    if n == 4:
-        return _square_test_gaussian(d.promote(4))
-    if n == 3:
-        return _square_test_eisenstein(d.promote(3))
+    if n in _QUADRATIC:
+        return _square_test(d, n)
     # Unresolved field: certify squares found in a resolved subfield.
-    if d.n in (1, 3, 4):
-        for sub in (1, 3, 4):
-            if sub % d.n == 0 and n % sub == 0:
-                t = is_square_constant(d, sub)
-                if t.status == "square":
-                    return t
+    for sub in _QUADRATIC:
+        if sub % d.n == 0 and n % sub == 0:
+            t = _square_test(d, sub)
+            if t.status == "square":
+                return t
     return SquareTest("indeterminate")
 
 
-def _square_test_gaussian(c: CycloNumber) -> SquareTest:
-    a, b = c.coeffs  # c = a + b*i
-    if b == 0:
-        r = _rational_sqrt(a)
-        if r is not None:
-            return SquareTest("square", CycloNumber.from_rational(r))
-        r = _rational_sqrt(-a)
-        if r is not None:
-            return SquareTest("square", CycloNumber(4, (Fraction(0), r)))
-        return SquareTest("nonsquare")
-    m = _rational_sqrt(a * a + b * b)
-    if m is None:
-        return SquareTest("nonsquare")
-    u2 = (a + m) / 2
-    u = _rational_sqrt(u2)
-    if u is None or u == 0:
-        return SquareTest("nonsquare")
-    v = b / (2 * u)
-    root = CycloNumber(4, (u, v))
-    assert root * root == c
-    return SquareTest("square", root)
+# Q(zeta_n) = Q(sqrt(D)) for n in {1, 3, 4}: n -> (D, sqrt(D) in the power basis of zeta_n)
+_QUADRATIC = {1: (1, (1,)), 3: (-3, (1, 2)), 4: (-1, (0, 1))}
 
 
-def _square_test_eisenstein(c: CycloNumber) -> SquareTest:
-    a, b = c.coeffs  # c = a + b*w with w = zeta_3
-    if b == 0:
-        r = _rational_sqrt(a)
-        if r is not None:
-            return SquareTest("square", CycloNumber.from_rational(r))
-        r = _rational_sqrt(Fraction(-a, 3))
-        if r is not None:
-            # sqrt(-3) = 1 + 2*zeta_3
-            root = CycloNumber(3, (r, 2 * r))
-            assert root * root == c
-            return SquareTest("square", root)
+def _square_test(c: CycloNumber, n: int) -> SquareTest:
+    """Square test of c in Q(zeta_n) = Q(sqrt(D)), n in _QUADRATIC and c.n | n.
+
+    With c = A + B*sqrt(D), a root u + v*sqrt(D) has u^2 + D*v^2 = A and
+    2uv = B, so m = u^2 - D*v^2 (nonnegative, as D < 0 or, over Q, v = 0) is
+    the rational square root of the norm A^2 - D*B^2, and u^2 = (A + m)/2;
+    when u = 0, c = A = D*v^2.
+    """
+    D, s = _QUADRATIC[n]
+    sqrt_d = CycloNumber(n, s)
+    cs = c.promote(n).coeffs
+    b = cs[-1] / s[-1] if n > 1 else Fraction(0)
+    a = cs[0] - b * s[0]
+    m = _rational_sqrt(a * a - D * b * b)
+    u = None if m is None else _rational_sqrt((a + m) / 2)
+    if u is None:
         return SquareTest("nonsquare")
-    m = _rational_sqrt(a * a - a * b + b * b)
-    if m is None:
-        return SquareTest("nonsquare")
-    for sign in (1, -1):
-        v2 = (b - 2 * a + sign * 2 * m) / 3
-        v = _rational_sqrt(v2)
-        if v is None or v == 0:
-            continue
-        u = (b + v * v) / (2 * v)
-        root = CycloNumber(3, (u, v))
-        if root * root == c:
-            return SquareTest("square", root)
-    return SquareTest("nonsquare")
+    if u:
+        root = u + b / (2 * u) * sqrt_d if b else CycloNumber.from_rational(u)
+        return SquareTest("square", root)
+    v = _rational_sqrt(a / D)
+    return SquareTest("nonsquare") if v is None else SquareTest("square", v * sqrt_d)

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .cyclo import OVER_CAP, CycloNumber, _order, _power, is_square_constant
+from .cyclo import (
+    OVER_CAP,
+    CycloNumber,
+    _order,
+    _power,
+    conductor_of,
+    euler_phi,
+    is_square_constant,
+)
 from .maps import P1xP1, ProjMap
 from .multipoly import MultiPoly
 from .poly import RatFunc, UniPoly, poly_gcd, squarefree_part
@@ -172,7 +180,7 @@ class JonqElement:
         return self.m == other.m and self.beta == other.beta
 
     def __hash__(self) -> int:
-        return hash((self.m, tuple(tuple(c.deflate().coeffs for c in row) for row in self.beta)))
+        return hash((self.m, self.beta))
 
     def __repr__(self) -> str:
         a = self.a
@@ -182,13 +190,18 @@ class JonqElement:
 def order_j(e: JonqElement, cap: int = 5040):
     """Least k <= cap with e^k = 1; OVER_CAP past cap or on proven infinite order.
 
-    With b the order of the base, e^b has trivial base.  Were its order
+    A finite order b of the base beta in PGL(2, Q(zeta_N)), N the conductor
+    of its entries, is the order of its eigenvalue ratio, a root of unity of
+    degree at most 2 over Q(zeta_N): phi(b) <= 2 phi(N), and as
+    phi(b) >= sqrt(b/2), b <= 8 phi(N)^2, so a base loop past that bound
+    proves the order infinite.  Then e^b has trivial base.  Were its order
     finite, its eigenvalue ratio would be a root of unity z, and
     tr^2/det = 2 + z + 1/z algebraic over k, hence a constant of k(x); a
     nonconstant tr^2/det proves the order infinite.
     """
     one = JonqElement.identity()
-    b = _order(JonqElement.base_only(e.beta), cap, one.__eq__)
+    bound = 8 * euler_phi(conductor_of(c for row in e.beta for c in row)) ** 2
+    b = _order(JonqElement.base_only(e.beta), min(cap, bound), one.__eq__)
     if b is OVER_CAP:
         return OVER_CAP
     f = _power(e, b, one)
@@ -247,22 +260,14 @@ class SquareClass:
         )
 
 
-def _field_conductor_of(e: JonqElement) -> int:
-    ns = [c.deflate().n for row in e.m for entry in row for c in entry.coeffs]
-    return lcm(1, *ns, *(c.deflate().n for row in e.beta for c in row))
-
-
 def square_class(f: Union[RatFunc, UniPoly], field_conductor: Optional[int] = None) -> SquareClass:
     f = _rf(f)
     if f.is_zero():
         raise ValueError("square class of zero")
     p = f.num * f.den
     dec = squarefree_part(p)
-    n = field_conductor
-    if n is None:
-        ns = [c.deflate().n for c in p.coeffs]
-        n = lcm(*ns) if ns else 1
-    t = is_square_constant(dec.constant, lcm(n, dec.constant.n))
+    n = field_conductor if field_conductor is not None else conductor_of(p.coeffs)
+    t = is_square_constant(dec.constant, lcm(n, conductor_of([dec.constant])))
     status = {
         "square": "resolved_square",
         "nonsquare": "resolved_nonsquare",
@@ -275,8 +280,9 @@ def det_class(e: JonqElement, field_conductor: Optional[int] = None) -> SquareCl
     """Square class of det(A) for an element of PGL(2, k(x))."""
     if not e.has_trivial_base():
         raise ValueError("determinant class needs a trivial action on the base")
-    n = field_conductor if field_conductor is not None else _field_conductor_of(e)
-    return square_class(e.det(), n)
+    if field_conductor is None:  # beta is trivial, so m holds every constant
+        field_conductor = conductor_of(c for row in e.m for entry in row for c in entry.coeffs)
+    return square_class(e.det(), field_conductor)
 
 
 def is_involution(e: JonqElement) -> bool:

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNumber, _order, _solve
+from .cyclo import CycloNumber, _order, _power, _solve
 from .multipoly import MultiPoly, gcd_many
 
 Coeffish = Union[int, "CycloNumber"]
@@ -101,39 +102,29 @@ class ProjMap:
         self._canon = None
 
     def _validate(self) -> None:
-        weights = self.ambient.var_weights()
-        slices = self.ambient.block_slices()
-        for (ws, _), (lo, hi) in zip(self.ambient.blocks, slices):
+        factors = list(zip((ws for ws, _ in self.ambient.blocks), self.ambient.block_slices()))
+        for ws, (lo, hi) in factors:
             block = self.components[lo:hi]
             if all(c.is_zero() for w, c in zip(ws, block) if w == 1):
                 raise ValueError("every weight-one component of an output factor vanishes:"
                                  " the map is not dominant")
-            # Uniform block degree d: component of weight w has weighted degree w*d.
-            d: Optional[int] = None
+            # A component of weight w is homogeneous in every input factor j,
+            # under its weights, of degree w*d_j; the factor shares (d_1, ...).
+            d: Optional[tuple[int, ...]] = None
             for w_out, comp in zip(ws, block):
                 if comp.is_zero():
                     continue
-                if not comp.is_weighted_homogeneous(weights):
-                    raise ValueError(f"component {comp} is not weighted-homogeneous")
-                deg = comp.weighted_degree(weights)
-                if deg % w_out != 0:
+                degs = {tuple(sum(map(mul, wj, expo[a:b])) for wj, (a, b) in factors)
+                        for expo in comp.terms}
+                if len(degs) > 1:
+                    raise ValueError(f"component {comp} is not homogeneous in each factor")
+                (deg,) = degs
+                if any(x % w_out for x in deg):
                     raise ValueError("component degree incompatible with its weight")
-                dd = deg // w_out
-                if d is None:
-                    d = dd
-                elif d != dd:
+                dd = tuple(x // w_out for x in deg)
+                if d is not None and d != dd:
                     raise ValueError("inconsistent component degrees within a factor")
-            # For products, also require per-input-block homogeneity.
-            if len(self.ambient.blocks) > 1:
-                for comp in block:
-                    if comp.is_zero():
-                        continue
-                    for lo2, hi2 in slices:
-                        degs = {
-                            sum(e[lo2:hi2]) for e in comp.terms
-                        }
-                        if len(degs) > 1:
-                            raise ValueError("component not multi-homogeneous")
+                d = dd
 
     # -- constructors -----------------------------------------------------
 
@@ -210,15 +201,10 @@ class ProjMap:
     def __mul__(self, other: "ProjMap") -> "ProjMap":
         return self.compose(other)
 
-    def power(self, k: int, degree_cap: int = 4096) -> "ProjMap":
+    def power(self, k: int) -> "ProjMap":
         if k < 0:
             raise ValueError("negative power of a rational map")
-        result = ProjMap.identity(self.ambient)
-        for _ in range(k):
-            result = result.compose(self)
-            if result.degree_profile() > degree_cap:
-                raise ValueError("degree cap exceeded while raising to a power")
-        return result
+        return _power(self, k, ProjMap.identity(self.ambient))
 
     def evaluate(self, point: "ProjPoint") -> "ProjPoint":
         if point.ambient != self.ambient:

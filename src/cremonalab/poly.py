@@ -179,7 +179,7 @@ class UniPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(c.deflate().coeffs + (c.deflate().n,) for c in self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"

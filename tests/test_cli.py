@@ -127,6 +127,16 @@ def test_corpus_format_error_exit_code(tmp_path, capsys):
     )
     assert main(["corpus", "--file", str(bad)]) == 2
     assert "weight-one" in capsys.readouterr().err
+    # Bidegrees (1, 1) and (2, 0) in one output factor: not a map of P1 x P1.
+    bad.write_text(
+        "P1.bad | P1xP1 | gen = (x1 : x2) x (x1*y1 : x1*x2) | gen_orders = 2 | group = 2 "
+        "| structure = 2\n"
+    )
+    assert main(["corpus", "--file", str(bad)]) == 2
+    assert "line 1" in capsys.readouterr().err
+    assert main(["compose", "--ambient", "P1xP1", "(x1 : x2) x (x1*y1 : x1*x2)",
+                 "(x1 : x2) x (y1 : y2)"]) == 2
+    assert "inconsistent component degrees" in capsys.readouterr().err
     # Only whitespace and one x may stand between component tuples.
     for bad_map in ("x(x : y : z)", "(x : y : z) x"):
         assert main(["compose", bad_map, "(x : y : z)"]) == 2

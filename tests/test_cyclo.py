@@ -132,6 +132,16 @@ def test_square_constants_indeterminate_and_field_dependence():
     assert is_square_constant(CycloNumber.from_rational(-1), 4).status == "square"
 
 
+def test_square_default_field_is_the_smallest_holding_the_value():
+    # -1 stored over Q(zeta_8) still lies in Q, where it is not a square
+    minus_one = CycloNumber.from_rational(-1).promote(8)
+    assert minus_one.n == 8
+    assert is_square_constant(minus_one).status == "nonsquare"
+    assert is_square_constant(minus_one, 8).status == "square"
+    # -i stored over Q(zeta_8) lies in Q(i), where it is not a square
+    assert is_square_constant(-CycloNumber.zeta(8, 2)).status == "nonsquare"
+
+
 def test_square_randomized_roundtrip():
     rng = random.Random(7)
     for n in (1, 3, 4):
@@ -170,3 +180,60 @@ def test_row_reduce_matches_sympy():
             assert all(sum(r * v for r, v in zip(row, y)) == bi for row, bi in zip(a, b))
         solvable_seen.add(solvable)
     assert solvable_seen == {True, False}
+
+
+def _sympy_poly(sympy, t, c):
+    """c as a polynomial in t = zeta_n over QQ."""
+    return sympy.Poly([sympy.Rational(q.numerator, q.denominator) for q in reversed(c.coeffs)],
+                      t, domain="QQ")
+
+
+def test_field_operations_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(5331)
+    for n in (3, 4, 8, 12):
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, t), t, domain="QQ")
+
+        def reduced(p):
+            coeffs = [Fraction(int(q.p), int(q.q)) for q in reversed(p.rem(phi).all_coeffs())]
+            return coeffs + [Fraction(0)] * (euler_phi(n) - len(coeffs))
+
+        for _ in range(50):
+            a, b = _random_element(rng, n), _random_element(rng, n)
+            pa, pb = _sympy_poly(sympy, t, a), _sympy_poly(sympy, t, b)
+            assert list((a + b).coeffs) == reduced(pa + pb)
+            assert list((a * b).coeffs) == reduced(pa * pb)
+            if not a.is_zero():
+                assert list(a.inverse().coeffs) == reduced(sympy.invert(pa, phi))
+
+
+def test_square_test_matches_sympy():
+    # c is a square in K exactly when t^2 - c has a linear factor over K.
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    zetas = {1: sympy.Integer(1), 3: (sympy.sqrt(-3) - 1) / 2, 4: sympy.I}
+    extensions = {1: None, 3: sympy.sqrt(-3), 4: sympy.I}
+    rng = random.Random(8861)
+    cases = []
+    for _ in range(20):
+        q = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        cases += [(q, 1), (-q, 1), (q * q, 1), (-3 * q * q, rng.choice((1, 3))),
+                  (-q * q, rng.choice((1, 4)))]
+    for n in (3, 4):
+        for _ in range(25):
+            a = _random_element(rng, n)
+            cases.append((a * a if rng.random() < 0.5 else a, n))
+    for c, n in cases:
+        c = CycloNumber.coerce(c)
+        if c.is_zero():
+            continue
+        value = sum(sympy.Rational(q.numerator, q.denominator) * zetas[n] ** k
+                    for k, q in enumerate(c.promote(n).coeffs))
+        kwargs = {"extension": extensions[n]} if extensions[n] is not None else {}
+        _, factors = sympy.factor_list(sympy.expand(t**2 - value), t, **kwargs)
+        expected = any(sympy.degree(f, t) == 1 for f, _ in factors)
+        got = is_square_constant(c, n)
+        assert got.status == ("square" if expected else "nonsquare"), (c, n)
+        if expected:
+            assert got.root * got.root == c

@@ -153,6 +153,8 @@ def test_order_j_stops_on_proven_infinite_order(monkeypatch):
     # the base x -> -x has order 2; the square diag(-x^2, 1) has nonconstant tr^2/det
     assert order_j(JonqElement(((rf(x()), rf(0)), (rf(0), rf(1))), ((-1, 0), (0, 1)))) is OVER_CAP
     assert order_j(JonqElement.base_only(((0, 1), (1, 0)))) == 2
+    # the base x -> x + 1 over Q: a finite base order would be at most 8 phi(1)^2 = 8
+    assert order_j(JonqElement.base_only(((1, 1), (0, 1)))) is OVER_CAP
 
 
 def test_fourth_root_example():
@@ -183,6 +185,18 @@ def test_det_class_examples():
     assert d4.radical.is_one() and d4.constant == -4
     assert d4.constant_status == "resolved_nonsquare"
     assert d4.same_class(d1) is True  # -4 = -1 * 2^2
+
+
+def test_det_class_does_not_depend_on_how_the_element_was_computed():
+    # alpha^4 by composition keeps its constants over Q(zeta_8); it equals
+    # sigma_{x^4 - 1}, whose determinant constant -1 is not a square in Q
+    ex = fourth_root_example()
+    a2 = ex["alpha"].compose(ex["alpha"])
+    a4 = a2.compose(a2)
+    assert a4 == ex["alpha4"]
+    composed, direct = det_class(a4), det_class(ex["alpha4"])
+    assert composed.field_conductor == direct.field_conductor == 1
+    assert composed.constant_status == direct.constant_status == "resolved_nonsquare"
 
 
 def test_det_class_requires_trivial_base():
