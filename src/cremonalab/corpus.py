@@ -213,10 +213,9 @@ def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
         rep.add(f"{label} order", o == row.gen_orders[k], f"computed {o}")
     for a in range(len(row.generators)):
         for b in range(a + 1, len(row.generators)):
-            rep.add(
-                f"gen{a + 1},gen{b + 1} commute",
-                commute(row.generators[a], row.generators[b]),
-            )
+            ok = commute(row.generators[a], row.generators[b])
+            rep.add(f"gen{a + 1},gen{b + 1} commute", ok,
+                    "" if ok else f"gen{a + 1}*gen{b + 1} != gen{b + 1}*gen{a + 1}")
     try:
         closure = group_closure(row.generators, cap=closure_cap)
     except (ClosureOverflow, BasePointError) as e:

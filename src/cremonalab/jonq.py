@@ -187,28 +187,37 @@ class JonqElement:
         return f"JonqElement(A=[[{a[0][0]}, {a[0][1]}], [{a[1][0]}, {a[1][1]}]], beta=[[{self.beta[0][0]}, {self.beta[0][1]}], [{self.beta[1][0]}, {self.beta[1][1]}]])"
 
 
+def _root_order_bound(values) -> int:
+    """8 phi(N)^2, N the conductor of values: a root of unity z of degree at
+    most 2 over Q(zeta_N) has phi(ord z) <= 2 phi(N), and as
+    phi(k) >= sqrt(k/2), ord z <= 8 phi(N)^2."""
+    return 8 * euler_phi(conductor_of(values)) ** 2
+
+
 def order_j(e: JonqElement, cap: int = 5040):
     """Least k <= cap with e^k = 1; OVER_CAP past cap or on proven infinite order.
 
-    A finite order b of the base beta in PGL(2, Q(zeta_N)), N the conductor
-    of its entries, is the order of its eigenvalue ratio, a root of unity of
-    degree at most 2 over Q(zeta_N): phi(b) <= 2 phi(N), and as
-    phi(b) >= sqrt(b/2), b <= 8 phi(N)^2, so a base loop past that bound
-    proves the order infinite.  Then e^b has trivial base.  Were its order
-    finite, its eigenvalue ratio would be a root of unity z, and
-    tr^2/det = 2 + z + 1/z algebraic over k, hence a constant of k(x); a
-    nonconstant tr^2/det proves the order infinite.
+    A finite order b of the base beta is the order of its eigenvalue ratio,
+    a root of unity of degree at most 2 over the field of the entries of
+    beta, so a base loop past `_root_order_bound` of those entries proves
+    the order infinite.  Then e^b has trivial base.  Were its order finite,
+    its eigenvalue ratio would be a root of unity z, and
+    c = tr^2/det = 2 + z + 1/z algebraic over k, hence a constant of k(x); a
+    nonconstant tr^2/det proves the order infinite.  For constant c, z is a
+    root of z^2 - (c - 2) z + 1, of degree at most 2 over Q(c), and a fiber
+    loop past `_root_order_bound([c])` proves the order infinite.
     """
     one = JonqElement.identity()
-    bound = 8 * euler_phi(conductor_of(c for row in e.beta for c in row)) ** 2
+    bound = _root_order_bound(c for row in e.beta for c in row)
     b = _order(JonqElement.base_only(e.beta), min(cap, bound), one.__eq__)
     if b is OVER_CAP:
         return OVER_CAP
     f = _power(e, b, one)
     tr = f.m[0][0] + f.m[1][1]
-    if not RatFunc(tr * tr, f.det()).is_constant():
+    c = RatFunc(tr * tr, f.det())
+    if not c.is_constant():
         return OVER_CAP
-    k = _order(f, cap // b, one.__eq__)
+    k = _order(f, min(cap // b, _root_order_bound([c.constant_value()])), one.__eq__)
     return OVER_CAP if k is OVER_CAP else b * k
 
 

@@ -2,8 +2,8 @@
 
 Terms map exponent tuples to nonzero coefficients.  The monomial order used
 for leading terms and canonical scaling is lexicographic on exponent tuples,
-which is stable across runs.  The gcd is computed by recursive
-content/primitive-part Euclid, adequate for the small degrees in scope.
+which is stable across runs.  The gcd is a primitive pseudo-remainder
+sequence in a main variable of least degree, recursing on the contents.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ Coeffish = Union[int, Fraction, CycloNumber]
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Coeffish] = ()):
+    def __init__(self, vars: Sequence[str],
+                 terms: Optional[Mapping[tuple[int, ...], Coeffish]] = None):
         self.vars = tuple(vars)
         clean: dict[tuple[int, ...], CycloNumber] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for expo, c in items:
+        for expo, c in (terms or {}).items():
             c = CycloNumber.coerce(c)
             if c.is_zero():
                 continue
@@ -276,13 +276,6 @@ class MultiPoly:
             out[e] = out[e] + MultiPoly.monomial(self.vars, rest, c)
         return out
 
-    def _used_vars(self) -> list[str]:
-        used = []
-        for i, name in enumerate(self.vars):
-            if any(expo[i] for expo in self.terms):
-                used.append(name)
-        return used
-
     def normalized(self) -> "MultiPoly":
         """Scale so the lexicographic leading coefficient is one."""
         if self.is_zero():
@@ -313,66 +306,42 @@ def multi_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Gcd normalized to leading coefficient one; gcd(0, 0) = 0."""
     if a.vars != b.vars:
         raise ValueError("variable roster mismatch in gcd")
-    if a.is_zero():
-        return b.normalized() if not b.is_zero() else b
-    if b.is_zero():
-        return a.normalized()
-    g = _gcd_rec(a, b)
-    return g.normalized()
+    return _gcd_rec(a, b).normalized()
 
 
 def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """A gcd up to a nonzero constant: contents in the main variable recurse,
+    primitive parts run Euclid with pseudo-remainders made primitive and
+    normalized, so their coefficients do not grow.  The main variable is one
+    of least degree in a and b (Geddes, Czapor & Labahn, ch. 7)."""
     if a.is_zero():
         return b
     if b.is_zero():
         return a
     if a.is_constant() or b.is_constant():
         return MultiPoly.constant(a.vars, 1)
-    used = a._used_vars() or b._used_vars()
-    var = used[0] if used else a.vars[0]
-    if a.degree_in(var) < 0 or b.degree_in(var) < 0:
-        # var appears in only one of them; gcd has no var dependence.
-        ca = _content(a, var)
-        cb = _content(b, var)
-        return _gcd_rec(ca, cb)
+    degs = [max(es) for es in zip(*a.terms, *b.terms)]
+    var = a.vars[min((d, i) for i, d in enumerate(degs) if d)[1]]
     ca, pa = _content_pp(a, var)
     cb, pb = _content_pp(b, var)
-    cont = _gcd_rec(ca, cb)
-    # Primitive-part Euclid with pseudo-remainders.
     while not pb.is_zero():
-        r = _pseudo_rem(pa, pb, var)
-        pa, pb = pb, _primitive(r, var)
-    return cont * pa
-
-
-def _content(p: MultiPoly, var: str) -> MultiPoly:
-    coeffs = [c for c in p.as_univariate(var) if not c.is_zero()]
-    g = MultiPoly.zero(p.vars)
-    for c in coeffs:
-        g = _gcd_rec(g, c)
-        if g.is_constant() and not g.is_zero():
-            return MultiPoly.constant(p.vars, 1)
-    return g if not g.is_zero() else MultiPoly.constant(p.vars, 1)
+        pa, pb = pb, _content_pp(_pseudo_rem(pa, pb, var), var)[1].normalized()
+    return _gcd_rec(ca, cb) * pa
 
 
 def _content_pp(p: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
-    cont = _content(p, var)
-    return cont, p.exact_div(cont)
-
-
-def _primitive(p: MultiPoly, var: str) -> MultiPoly:
-    if p.is_zero():
-        return p
-    return p.exact_div(_content(p, var))
+    """Content of p in var (a gcd of its coefficients) and its primitive part."""
+    g = MultiPoly.zero(p.vars)
+    for c in reversed(p.as_univariate(var)):
+        g = _gcd_rec(g, c)
+        if g.is_constant():
+            return MultiPoly.constant(p.vars, 1), p
+    return g, p.exact_div(g)
 
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    da = a.degree_in(var)
     db = b.degree_in(var)
-    if da < db:
-        return a
-    b_coeffs = b.as_univariate(var)
-    lead_b = b_coeffs[db]
+    lead_b = b.as_univariate(var)[db]
     xv = MultiPoly.variable(a.vars, var)
     rem = a
     while not rem.is_zero():
@@ -390,7 +359,7 @@ def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
         g = next(it)
     except StopIteration:
         raise ValueError("gcd of empty collection")
-    g = g.normalized() if not g.is_zero() else g
+    g = g.normalized()
     for p in it:
         g = multi_gcd(g, p)
         if g.is_constant() and not g.is_zero():

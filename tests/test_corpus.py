@@ -176,6 +176,7 @@ def test_noncommuting_pair_fails_its_row():
     assert not rep.passed
     checks = {c.label: c for c in rep.checks}
     assert not checks["gen1,gen2 commute"].passed
+    assert checks["gen1,gen2 commute"].detail == "gen1*gen2 != gen2*gen1"
     assert checks["group order"].passed
     assert not checks["structure"].passed
     assert checks["structure"].detail == "computed non-abelian / expected 6"

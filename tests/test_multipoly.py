@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -84,3 +85,65 @@ def test_string_forms_are_deterministic():
     x, y, z = _vars()
     f = x * y - z**2 + 3
     assert str(f) == str(x * y - z**2 + 3)
+
+
+# Blocks of the corpus ambients: a variable roster and the gradings each
+# block component is homogeneous for.
+BLOCKS = [
+    (("x", "y", "z"), [(1, 1, 1)]),
+    (("x", "y", "z", "w"), [(1, 1, 1, 1)]),
+    (("x1", "x2", "y1", "y2"), [(1, 1, 0, 0), (0, 0, 1, 1)]),
+    (("w", "x", "y", "z"), [(3, 1, 1, 2)]),
+]
+
+
+def _random_form(rng, roster, grading, degree, free, n):
+    """A nonzero form of the given degrees over Q(zeta_n) in the variables free."""
+    monos = [
+        e for e in itertools.product(range(max(degree) + 1), repeat=len(roster))
+        if all(sum(w * k for w, k in zip(g, e)) == d for g, d in zip(grading, degree))
+        and all(k == 0 or v in free for v, k in zip(roster, e))
+    ]
+    terms = {}
+    for e in rng.sample(monos, min(len(monos), rng.randint(1, 3))):
+        terms[e] = rng.choice([1, -1, 2, 3])
+        if n > 1:
+            terms[e] += rng.choice([0, 1, -2]) * CycloNumber.zeta(n)
+    return MultiPoly(roster, terms)
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.sqrt(-3)
+    rng = random.Random(909)
+    one_sided = constant_common = 0
+    for n, field in ((1, sympy.QQ), (3, sympy.QQ.algebraic_field(s))):
+
+        def sp(p, roster):
+            def number(c):  # a + b*zeta_3 = (a - b/2) + (b/2)*sqrt(-3)
+                a, b = (sympy.QQ(q.numerator, q.denominator) for q in c.promote(3).coeffs)
+                return a if n == 1 else field([b / 2, a - b / 2])
+
+            return sympy.Poly.from_dict({e: number(c) for e, c in p.terms.items()},
+                                        *sympy.symbols(roster), domain=field)
+
+        for roster, grading in BLOCKS:
+            for trial in range(6):
+                # trials 0 and 3 keep the last variable out of the common
+                # factor and of b; trial 1 has a constant common factor
+                free = set(roster[:-1]) if trial % 3 == 0 else set(roster)
+                deg = [rng.randint(1, 2) for _ in grading]
+                cdeg = [0] * len(grading) if trial == 1 else [rng.randint(0, 1) for _ in grading]
+                common = _random_form(rng, roster, grading, cdeg, free, n)
+                a = common * _random_form(rng, roster, grading, deg, set(roster), n)
+                b = common * _random_form(rng, roster, grading, deg[::-1], free, n)
+                c = common * _random_form(rng, roster, grading, deg, set(roster), n)
+                one_sided += a.degree_in(roster[-1]) > 0 and b.degree_in(roster[-1]) <= 0
+                constant_common += common.is_constant()
+                g = multi_gcd(a, b)
+                assert g.leading_coeff() == 1
+                assert sp(g, roster).monic() == sp(a, roster).gcd(sp(b, roster)).monic()
+                h = gcd_many([a, b, c])
+                expected = sp(a, roster).gcd(sp(b, roster)).gcd(sp(c, roster))
+                assert sp(h, roster).monic() == expected.monic()
+    assert one_sided and constant_common
