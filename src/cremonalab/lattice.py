@@ -2,15 +2,17 @@
 
 A class d*L - sum(m_i * E_i) is stored as (d, m).  The intersection form is
 diag(-1, ..., -1, 1) in the basis (E_1, ..., E_r, L) and the canonical class
-is -3L + sum(E_i).  Exceptional and conic-fiber classes are enumerated by
-solving the defining Diophantine systems with Cauchy-bound pruning, so the
-counts are exact and the output order is reproducible.
+is -3L + sum(E_i).  Exceptional and conic-fiber classes and the sum lemmas
+come from one exact sum-of-squares search (each range clipped to what the
+rest can reach, the last two entries from a quadratic, a lone entry forced),
+so the counts are exact and the output order is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, Sequence
 
 
@@ -98,25 +100,31 @@ def _solve_sum_squares(
     count: int, total: int, total_sq: int, lo: int, hi: int
 ) -> Iterator[tuple[int, ...]]:
     """All integer vectors of given length with prescribed sum and sum of
-    squares, entries in [lo, hi], emitted in lexicographic order."""
+    squares, entries in [lo, hi], emitted in lexicographic order.
 
+    Besides the Cauchy bound, three exact cuts: each entry is clipped to what
+    the entries after it can still sum to and to |entry| <= isqrt(q); the last
+    two entries solve v + w = s, (v - w)^2 = 2q - s^2; a lone entry is s."""
+    if count < 2:
+        if total_sq == total * total and (lo <= total <= hi if count else total == 0):
+            yield (total,) * count
+        return
     vec: list[int] = []
 
     def rec(k: int, s: int, q: int) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            if s == 0 and q == 0:
-                yield tuple(vec)
-            return
-        if q < 0:
+        if k == 2:  # t^2 = 2q - s^2 forces t = s (mod 2), so (s -+ t)/2 are exact
+            disc = 2 * q - s * s
+            t = isqrt(disc) if disc >= 0 else -1
+            if t * t == disc and lo <= (s - t) // 2 and (s + t) // 2 <= hi:
+                yield (*vec, (s - t) // 2, (s + t) // 2)
+                if t:
+                    yield (*vec, (s + t) // 2, (s - t) // 2)
             return
         # Cauchy: the remaining entries cannot achieve sum s on budget q.
         if s * s > k * q:
             return
-        for val in range(lo, hi + 1):
-            if val * val > q:
-                if val > 0:
-                    break
-                continue
+        root = isqrt(q)
+        for val in range(max(lo, s - (k - 1) * hi, -root), min(hi, s - (k - 1) * lo, root) + 1):
             vec.append(val)
             yield from rec(k - 1, s - val, q - val * val)
             vec.pop()
@@ -198,8 +206,9 @@ def is_homaloidal(n: int, multiplicities: Sequence[int]) -> bool:
 
 
 def arcond_search(m_max: int) -> list[tuple[int, tuple[int, int, int, int]]]:
-    """Brute-force all (m, s_1..s_4) with sum s_i^2 = m^2 - 1,
-    sum s_i = 2(m-1) and s_i + s_j <= m for i != j."""
+    """All (m, s_1..s_4) with sum s_i^2 = m^2 - 1, sum s_i = 2(m-1) and
+    s_i + s_j <= m for i != j.  The sum-of-squares search clips each s_i to
+    what the others can reach and solves s_3, s_4 from a quadratic."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     solutions = []

@@ -133,18 +133,12 @@ class MultiPoly:
                     out[expo] = s
             else:
                 out[expo] = c
-        p = MultiPoly.__new__(MultiPoly)
-        p.vars = self.vars
-        p.terms = out
-        return p
+        return _from_terms(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        p = MultiPoly.__new__(MultiPoly)
-        p.vars = self.vars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _from_terms(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union[Coeffish, "MultiPoly"]) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -167,10 +161,7 @@ class MultiPoly:
                         out[expo] = s
                 else:
                     out[expo] = c
-        p = MultiPoly.__new__(MultiPoly)
-        p.vars = self.vars
-        p.terms = out
-        return p
+        return _from_terms(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -183,10 +174,7 @@ class MultiPoly:
         c = CycloNumber.coerce(c)
         if c.is_zero():
             return MultiPoly.zero(self.vars)
-        p = MultiPoly.__new__(MultiPoly)
-        p.vars = self.vars
-        p.terms = {e: v * c for e, v in self.terms.items()}
-        return p
+        return _from_terms(self.vars, {e: v * c for e, v in self.terms.items()})
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -242,20 +230,26 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_constant():
             return self.scale(other.constant_value().inverse())
-        rem = self
-        quo = MultiPoly.zero(self.vars)
+        rem = dict(self.terms)
+        quo: dict[tuple[int, ...], CycloNumber] = {}
         lt = other.leading_monomial()
         lc_inv = other.terms[lt].inverse()
-        while not rem.is_zero():
-            rm = rem.leading_monomial()
+        while rem:
+            rm = max(rem)
             diff = tuple(a - b for a, b in zip(rm, lt))
             if any(d < 0 for d in diff):
                 raise ValueError("inexact multivariate division")
-            c = rem.terms[rm] * lc_inv
-            mono = MultiPoly.monomial(self.vars, diff, c)
-            quo = quo + mono
-            rem = rem - mono * other
-        return quo
+            c = quo[diff] = rem[rm] * lc_inv
+            # rem -= c * x^diff * other, in place; the term at rm cancels
+            for e, oc in other.terms.items():
+                expo = tuple(a + b for a, b in zip(diff, e))
+                v = rem.get(expo)
+                v = -(c * oc) if v is None else v - c * oc
+                if v.is_zero():
+                    del rem[expo]
+                else:
+                    rem[expo] = v
+        return _from_terms(self.vars, quo)
 
     def divides(self, other: "MultiPoly") -> bool:
         try:
@@ -263,18 +257,6 @@ class MultiPoly:
             return True
         except (ValueError, ZeroDivisionError):
             return False
-
-    def as_univariate(self, var: str) -> list["MultiPoly"]:
-        """Coefficient list in var, entries over the full roster with var absent."""
-        i = self.vars.index(var)
-        deg = self.degree_in(var)
-        out = [MultiPoly.zero(self.vars) for _ in range(max(deg + 1, 1))]
-        for expo, c in self.terms.items():
-            e = expo[i]
-            rest = list(expo)
-            rest[i] = 0
-            out[e] = out[e] + MultiPoly.monomial(self.vars, rest, c)
-        return out
 
     def normalized(self) -> "MultiPoly":
         """Scale so the lexicographic leading coefficient is one."""
@@ -300,6 +282,14 @@ class MultiPoly:
             _term(c, "*".join(_mono(v, e) for v, e in zip(self.vars, expo) if e))
             for expo, c in self.sorted_terms()
         )
+
+
+def _from_terms(vars: tuple[str, ...], terms: dict) -> MultiPoly:
+    """Wrap a term dict that is already clean: nonzero CycloNumber values."""
+    p = MultiPoly.__new__(MultiPoly)
+    p.vars = vars
+    p.terms = terms
+    return p
 
 
 def multi_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -331,26 +321,38 @@ def _gcd_rec(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 def _content_pp(p: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
     """Content of p in var (a gcd of its coefficients) and its primitive part."""
+    i = p.vars.index(var)
+    coeffs: dict[int, dict[tuple[int, ...], CycloNumber]] = {}
+    for e, c in p.terms.items():
+        coeffs.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
     g = MultiPoly.zero(p.vars)
-    for c in reversed(p.as_univariate(var)):
-        g = _gcd_rec(g, c)
+    for d in sorted(coeffs, reverse=True):
+        g = _gcd_rec(g, _from_terms(p.vars, coeffs[d]))
         if g.is_constant():
-            return MultiPoly.constant(p.vars, 1), p
+            break
+    if g.is_constant():  # also when p is zero
+        return MultiPoly.constant(p.vars, 1), p
     return g, p.exact_div(g)
 
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    db = b.degree_in(var)
-    lead_b = b.as_univariate(var)[db]
+    i = a.vars.index(var)
+    db, lead_b = _lead_in(b, i)
     xv = MultiPoly.variable(a.vars, var)
     rem = a
     while not rem.is_zero():
-        dr = rem.degree_in(var)
+        dr, lead_r = _lead_in(rem, i)
         if dr < db:
             break
-        lead_r = rem.as_univariate(var)[dr]
         rem = rem * lead_b - b * lead_r * xv ** (dr - db)
     return rem
+
+
+def _lead_in(p: MultiPoly, i: int) -> tuple[int, MultiPoly]:
+    """Degree of nonzero p in its i-th variable and the coefficient there."""
+    d = max(e[i] for e in p.terms)
+    return d, _from_terms(p.vars, {e[:i] + (0,) + e[i + 1:]: c
+                                   for e, c in p.terms.items() if e[i] == d})
 
 
 def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:

@@ -10,6 +10,7 @@ detail as a misprint.
 
 from __future__ import annotations
 
+import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -263,8 +264,6 @@ def _embedding() -> tuple[bool, str]:
 def _arcond() -> tuple[bool, str]:
     sols = arcond_search(100)
     ok = sols == [(1, (0, 0, 0, 0))]
-    import random
-
     rng = random.Random(12345)
     for _ in range(1000):
         k = rng.randint(1, 5)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from cremonalab.lattice import (
     BlowupLattice,
+    _solve_sum_squares,
     DivClass,
     arcond_search,
     arithmetic_genus,
@@ -117,6 +119,31 @@ def test_arcond_unique_solution():
     assert arcond_search(1) == [(1, (0, 0, 0, 0))]
     with pytest.raises(ValueError):
         arcond_search(0)
+
+
+def test_solve_sum_squares_matches_product_filter():
+    # the pruned search against a plain filter over the whole box, order included
+    rng = random.Random(4157)
+    seen = {"solved": 0, "unsolved": 0, "empty_range": 0, "negative_lo": 0}
+    for _ in range(500):
+        count = rng.randint(0, 5)
+        lo = rng.randint(-3, 2)
+        hi = lo + rng.randint(-1, 4)  # hi < lo is an empty range
+        if hi >= lo and rng.random() < 0.5:
+            vec = [rng.randint(lo, hi) for _ in range(count)]
+            total, total_sq = sum(vec), sum(v * v for v in vec)
+        else:
+            total, total_sq = rng.randint(-6, 6), rng.randint(-2, 25)
+        want = [
+            v for v in itertools.product(range(lo, hi + 1), repeat=count)
+            if sum(v) == total and sum(a * a for a in v) == total_sq
+        ]
+        assert list(_solve_sum_squares(count, total, total_sq, lo, hi)) == want, (
+            count, total, total_sq, lo, hi)
+        seen["solved" if want else "unsolved"] += 1
+        seen["empty_range"] += hi < lo
+        seen["negative_lo"] += lo < 0 and bool(want)
+    assert all(seen.values()), seen
 
 
 def test_cauchy_randomized():

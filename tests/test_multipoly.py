@@ -147,3 +147,21 @@ def test_gcd_matches_sympy():
                 expected = sp(a, roster).gcd(sp(b, roster)).gcd(sp(c, roster))
                 assert sp(h, roster).monic() == expected.monic()
     assert one_sided and constant_common
+
+
+def test_exact_div_recovers_the_cofactor():
+    rng = random.Random(311)
+    for n in (1, 3):  # over Q and over Q(zeta_3)
+        for roster, grading in BLOCKS:
+            for _ in range(4):
+                forms = [
+                    _random_form(rng, roster, grading, [rng.randint(0, 2) for _ in grading],
+                                 set(roster), n)
+                    for _ in range(3)
+                ]
+                p = forms[0] * forms[1] + forms[2]
+                q = _random_form(rng, roster, grading, [rng.randint(1, 2) for _ in grading],
+                                 set(roster), n)
+                assert (p * q).exact_div(q) == p
+                with pytest.raises(ValueError):
+                    (p * q + 1).exact_div(q)

@@ -149,3 +149,31 @@ def test_random_weyl_preserves_invariants():
             from math import lcm
 
             assert lcm(*mults.keys()) == o
+
+
+def test_charpoly_and_multiplicities_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    rng = random.Random(1729)
+    named = [make_geiser(), make_bertini(), make_dp4_quadratic(), make_dp4_cubic()]
+    cases = list(named)
+    for _ in range(12):
+        # words in one named matrix, a permutation of the exceptional curves
+        # and a quadratic reflection, all on the same lattice
+        m = rng.choice(named)
+        images = list(range(m.r))
+        rng.shuffle(images)
+        points = tuple(sorted(rng.sample(range(1, m.r + 1), 3)))
+        word = [m, basis_permutation(m.r, images), quadratic_reflection(m.r, points)]
+        for _ in range(rng.randint(2, 6)):
+            m = m * rng.choice(word)
+        cases.append(m)
+    cyclotomic = {sympy.cyclotomic_poly(d, lam): d for d in range(1, 61)}
+    assert len({c.r for c in cases}) == 3 and len(set(cases)) > 8
+    for m in cases:
+        chi = sympy.Matrix(m.matrix).charpoly(lam)
+        assert charpoly(m) == tuple(int(c) for c in reversed(chi.all_coeffs()))
+        _, factors = sympy.factor_list(chi.as_expr(), lam)
+        assert eigenvalue_multiplicities(m) == dict(
+            sorted((cyclotomic[f], k) for f, k in factors))
+    assert len({order(m) for m in cases}) > 3
