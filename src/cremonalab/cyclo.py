@@ -3,6 +3,9 @@
 Elements are residues modulo the N-th cyclotomic polynomial, with rational
 coefficients.  Mixed-conductor arithmetic promotes both operands to the lcm
 of their conductors, so any finite computation lives in a single field.
+
+The one product and the one long division on dense ascending coefficient
+lists, `_poly_mul` and `_divmod`, live here; `poly` and `weyl` use them too.
 """
 
 from __future__ import annotations
@@ -47,17 +50,37 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _int_poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials, ascending; den monic."""
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of dense ascending coefficient lists; zero entries are skipped."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _divmod(num: Iterable, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of dense ascending coefficient lists over a field.
+
+    den[-1] must be nonzero; the quotient is scaled by 1 / den[-1] unless
+    that entry is 1.  Entries may be ints (den monic), Fractions or
+    CycloNumbers.  The remainder has at most len(den) - 1 entries.
+    """
     rem = list(num)
     dn = len(den) - 1
+    inv = None if den[-1] == 1 else 1 / den[-1]
     quo = [0] * max(len(rem) - dn, 0)
     for i in range(len(rem) - 1, dn - 1, -1):
         c = rem[i]
         if c:
+            if inv is not None:
+                c = c * inv
             quo[i - dn] = c
-            for j, dj in enumerate(den):
-                rem[i - dn + j] -= c * dj
+            for j in range(dn):  # rem[i] itself cancels and is dropped
+                if den[j]:
+                    rem[i - dn + j] -= c * den[j]
     return quo, rem[:dn]
 
 
@@ -68,25 +91,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in divisors(n)[:-1]:
-        poly, rem = _int_poly_divmod(poly, cyclotomic_polynomial(d))
+        poly, rem = _divmod(poly, cyclotomic_polynomial(d))
         assert not any(rem), "inexact cyclotomic division"
     return tuple(poly)
-
-
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            for j in range(deg + 1):
-                coeffs[i - deg + j] -= c * phi[j]
-        coeffs[i] = Fraction(0)
-    out = coeffs[:deg]
-    while len(out) < deg:
-        out.append(Fraction(0))
-    return out
 
 
 Scalar = Union[int, Fraction, "CycloNumber"]
@@ -94,10 +101,9 @@ Scalar = Union[int, Fraction, "CycloNumber"]
 
 def cyclo_reduce(coeffs: Iterable[Union[int, Fraction]], n: int) -> "CycloNumber":
     """Residue of sum(coeffs[k] * zeta_n^k) modulo Phi_n, canonical form."""
-    raw = [Fraction(c) for c in coeffs]
-    if not raw:
-        raw = [Fraction(0)]
-    return CycloNumber(n, _reduce_mod_phi(raw, n))
+    phi = cyclotomic_polynomial(n)
+    rem = _divmod(coeffs, phi)[1]
+    return CycloNumber(n, rem + [0] * (len(phi) - 1 - len(rem)))
 
 
 class CycloNumber:
@@ -124,10 +130,7 @@ class CycloNumber:
         """zeta_n^k as an element of Q(zeta_n)."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        k %= n
-        raw = [Fraction(0)] * (k + 1)
-        raw[k] = Fraction(1)
-        return CycloNumber(n, _reduce_mod_phi(raw, n))
+        return cyclo_reduce([0] * (k % n) + [1], n)
 
     @staticmethod
     def coerce(value: Scalar) -> "CycloNumber":
@@ -146,11 +149,9 @@ class CycloNumber:
         if n % self.n != 0:
             raise ValueError(f"cannot promote conductor {self.n} into {n}")
         step = n // self.n
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1 or 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[i * step] += c
-        return CycloNumber(n, _reduce_mod_phi(raw, n))
+        raw = [0] * ((len(self.coeffs) - 1) * step + 1)
+        raw[::step] = self.coeffs
+        return cyclo_reduce(raw, n)
 
     @staticmethod
     def _common(a: "CycloNumber", b: "CycloNumber") -> tuple["CycloNumber", "CycloNumber"]:
@@ -182,49 +183,27 @@ class CycloNumber:
         if not isinstance(other, (int, Fraction, CycloNumber)):
             return NotImplemented
         a, b = CycloNumber._common(self, CycloNumber.coerce(other))
-        raw = [Fraction(0)] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        raw[i + j] += x * y
-        return CycloNumber(a.n, _reduce_mod_phi(raw, a.n))
+        return cyclo_reduce(_poly_mul(a.coeffs, b.coeffs), a.n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # Extended Euclid against Phi_n in Q[t]; Phi_n is irreducible over Q.
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        r0, r1 = phi, list(self.coeffs)
-        while r1 and not any(r1):
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p: list[Fraction]) -> int:
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            d0, d1 = deg(r0), deg(r1)
-            q = [Fraction(0)] * (d0 - d1 + 1)
-            rr = list(r0)
-            for i in range(d0, d1 - 1, -1):
-                c = rr[i] / r1[d1]
-                q[i - d1] = c
-                if c:
-                    for j in range(d1 + 1):
-                        rr[i - d1 + j] -= c * r1[j]
-            r0, r1 = r1, rr[: max(deg(rr) + 1, 1)]
-            qs = _poly_mul_frac(q, s1)
-            new_s = [x - y for x, y in _pad(s0, qs)]
-            s0, s1 = s1, new_s
-        lead = r1[deg(r1)]
-        inv_coeffs = [c / lead for c in s1]
-        return CycloNumber(self.n, _reduce_mod_phi(inv_coeffs, self.n))
+        # Extended Euclid against Phi_n in Q[t], all in Fraction: s_k * self
+        # = r_k mod Phi_n.  Phi_n is irreducible over Q, so the remainders
+        # never vanish and the last one is a nonzero constant.
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.n)], list(self.coeffs)
+        s0, s1 = [], [Fraction(1)]
+        while True:
+            while not r1[-1]:
+                r1.pop()
+            if len(r1) == 1:
+                return cyclo_reduce([c / r1[0] for c in s1], self.n)
+            q, r = _divmod(r0, r1)
+            t = _poly_mul(q, s1)  # deg q >= 1, so t is longer than s0
+            s0, s1 = s1, [x - y for x, y in zip(s0 + [0] * (len(t) - len(s0)), t)]
+            r0, r1 = r1, r
 
     def __truediv__(self, other: Scalar) -> "CycloNumber":
         return self * CycloNumber.coerce(other).inverse()
@@ -239,8 +218,12 @@ class CycloNumber:
 
     # -- predicates and canonical form ----------------------------------
 
+    def __bool__(self) -> bool:
+        """True for a nonzero element, as for int and Fraction."""
+        return any(self.coeffs)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
@@ -283,8 +266,10 @@ class CycloNumber:
         return f"CycloNumber({self})"
 
     def __str__(self) -> str:
-        z = f"zeta({self.n})"
-        return _join_terms(_term(c, _mono(z, i)) for i, c in enumerate(self.coeffs) if c)
+        """The deflated value, so equal numbers print alike at any conductor."""
+        d = self.deflate()
+        z = f"zeta({d.n})"
+        return _join_terms(_term(c, _mono(z, i)) for i, c in enumerate(d.coeffs) if c)
 
 
 # -- helpers shared with the modules built on this one ----------------------
@@ -404,33 +389,10 @@ def _solve(aug: Sequence[Sequence], width: int, zero) -> Optional[list]:
     return y
 
 
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _pad(a: list[Fraction], b: list[Fraction]) -> Iterable[tuple[Fraction, Fraction]]:
-    ln = max(len(a), len(b))
-    a = a + [Fraction(0)] * (ln - len(a))
-    b = b + [Fraction(0)] * (ln - len(b))
-    return zip(a, b)
-
-
 @lru_cache(maxsize=None)
 def _embedding_matrix(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
     # Columns: coordinates of zeta_n^(j*n/m) in the power basis of Q(zeta_n).
-    step = n // m
-    cols = []
-    for j in range(euler_phi(m)):
-        raw = [Fraction(0)] * (j * step + 1)
-        raw[j * step] = Fraction(1)
-        cols.append(tuple(_reduce_mod_phi(raw, n)))
-    return tuple(cols)
+    return tuple(CycloNumber.zeta(n, j * (n // m)).coeffs for j in range(euler_phi(m)))
 
 
 def _try_descend(x: CycloNumber, m: int) -> Optional[CycloNumber]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .cyclo import CycloNumber, _join_terms, _mono, _power, _term
+from .cyclo import CycloNumber, _divmod, _join_terms, _mono, _poly_mul, _power, _term
 
 Coeffish = Union[int, Fraction, CycloNumber]
 
@@ -100,16 +100,7 @@ class UniPoly:
     def __mul__(self, other: Union[Coeffish, "UniPoly"]) -> "UniPoly":
         other = _coerce_poly(other, self.var)
         self._check_var(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.var)
-        out = [CycloNumber.from_rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return self._wrap(out)
+        return self._wrap(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -123,17 +114,7 @@ class UniPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check_var(other)
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead_inv = other.leading().inverse()
-        quo = [CycloNumber.from_rational(0)] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i] * lead_inv
-            if not c.is_zero():
-                quo[i - dn] = c
-                for j in range(dn + 1):
-                    rem[i - dn + j] = rem[i - dn + j] - c * other.coeffs[j]
-            rem[i] = CycloNumber.from_rational(0)
+        quo, rem = _divmod(self.coeffs, other.coeffs)
         return self._wrap(quo), self._wrap(rem)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclo import (OVER_CAP, _int_poly_divmod, _order, _row_reduce, cyclotomic_polynomial,
+from .cyclo import (OVER_CAP, _divmod, _order, _poly_mul, _row_reduce, cyclotomic_polynomial,
                     divisors)
 from .lattice import DivClass, enumerate_exceptional
 
@@ -224,12 +224,7 @@ def charpoly(m: PicAut) -> tuple[int, ...]:
         for _ in range(k - 1):
             t.append(-sum(x * y for x, y in zip(r_row, vec)))
             vec = [sum(minor[i][j] * vec[j] for j in range(k - 1)) for i in range(k - 1)]
-        new_poly = [0] * (k + 1)
-        for i in range(len(poly)):
-            for j in range(len(t)):
-                if i + j <= k:
-                    new_poly[i + j] += poly[i] * t[j]
-        poly = new_poly
+        poly = _poly_mul(poly, t)[: k + 1]
     return tuple(reversed(poly))  # ascending
 
 
@@ -244,7 +239,7 @@ def eigenvalue_multiplicities(m: PicAut, cap: int = 5040) -> dict[int, int]:
     for d in divisors(k):
         phi = cyclotomic_polynomial(d)
         while len(chi) - 1 >= len(phi) - 1:
-            quo, rem = _int_poly_divmod(chi, phi)
+            quo, rem = _divmod(chi, phi)
             if any(rem):
                 break
             out[d] = out.get(d, 0) + 1

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from cremonalab import corpus
@@ -7,7 +10,8 @@ from cremonalab.corpus import (
     parse_corpus,
     verify_row,
 )
-from cremonalab.maps import abelian_structure_matches, group_closure
+from cremonalab.maps import ProjMap, abelian_structure_matches, group_closure
+from cremonalab.multipoly import MultiPoly
 
 
 def test_bundled_corpus_parses():
@@ -202,3 +206,50 @@ def test_internal_error_in_closure_propagates(monkeypatch):
     )
     with pytest.raises(ZeroDivisionError):
         verify_row(rows[0])
+
+
+def _conjugate(row, seed):
+    """The row conjugated by A = 1 + u*v^T for seeded integer vectors with
+    v.u = 0, so (u*v^T)^2 = 0: A is unipotent and A^-1 = 1 - u*v^T exactly.
+    Generators become A*g*A^-1 and equations F(A^-1 x)."""
+    rng = random.Random(seed)
+    names = row.ambient.vars
+    v = [rng.choice((-1, 0, 1, 2)) for _ in names]
+    i, j = rng.sample(range(len(names)), 2)
+    v[i] = 1
+    u = [0] * len(names)
+    u[i], u[j] = v[j], -1
+    xs = [MultiPoly.variable(names, name) for name in names]
+    vx = sum((c * x for c, x in zip(v, xs)), MultiPoly.zero(names))
+    a = ProjMap(row.ambient, [x + c * vx for x, c in zip(xs, u)])
+    a_inv = ProjMap(row.ambient, [x - c * vx for x, c in zip(xs, u)])
+    images = dict(zip(names, a_inv.components))
+    return dataclasses.replace(
+        row,
+        generators=[a.compose(g).compose(a_inv) for g in row.generators],
+        equations=[F.subs(images) for F in row.equations],
+    )
+
+
+def test_conjugate_rows_give_the_same_checks():
+    # Every claim of a row is invariant under conjugation in Cr(2), so a row
+    # and its conjugate must give the same checks, printed values included:
+    # under seed 3 row 3.9 computes lambda = zeta(3) stored over Q(zeta_9).
+    # This slice covers every row on P2, P3 and P4; P1xP1 and the weighted
+    # ambients need other automorphism families.
+    rows = [r for r in load_bundled_corpus() if r.ambient_name in ("P2", "P3", "P4")]
+    assert len(rows) == 20
+    differ = []
+    for row in rows:
+        conj = _conjugate(row, seed=3)
+        assert conj.generators != row.generators, row.name
+        if verify_row(conj).checks != verify_row(row).checks:
+            differ.append(row.name)
+    assert differ == []
+
+
+def test_conjugate_row_with_a_wrong_order_still_fails():
+    row = {r.name: r for r in load_bundled_corpus()}["3.9"]
+    conj = _conjugate(dataclasses.replace(row, gen_orders=[3]), seed=3)
+    failing = [c.label for c in verify_row(conj).checks if not c.passed]
+    assert failing == ["gen1 order"]

@@ -119,6 +119,9 @@ def test_gcd_and_squarefree_match_sympy():
             b = common * _random_poly(rng, n, rng.randint(0, 3))
             if a.is_zero() or b.is_zero():
                 continue
+            assert sp(a * b) == sp(a) * sp(b)
+            for num, den in ((a, b), (b, a)):
+                assert tuple(map(sp, num.divmod(den))) == sp(num).div(sp(den))
             assert sp(poly_gcd(a, b)) == sp(a).gcd(sp(b)).monic()
             p = a * common**2  # common divides p three times
             dec = squarefree_part(p)
