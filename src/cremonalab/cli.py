@@ -59,6 +59,12 @@ def _emit_text(payload, indent: int = 0) -> None:
         print(f"{pad}{payload}")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def cmd_enumerate(args) -> int:
     fn = enumerate_exceptional if args.kind == "exc" else enumerate_conic_classes
     classes = fn(args.r)
@@ -88,6 +94,11 @@ def cmd_weyl(args) -> int:
             rows = json.loads(args.matrix)
         except json.JSONDecodeError as e:
             print(f"bad matrix JSON: {e}", file=sys.stderr)
+            return 2
+        n = len(rows) if isinstance(rows, list) else 0
+        if not 2 <= n <= 9 or any(not isinstance(row, list) or len(row) != n
+                                  or any(type(x) is not int for x in row) for row in rows):
+            print("--matrix must be n rows of n integers, 2 <= n <= 9", file=sys.stderr)
             return 2
         try:
             m = PicAut(len(rows) - 1, rows)
@@ -267,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("order", help="order of a self-map")
     po.add_argument("--ambient", default="P2", choices=sorted(corpus_mod.AMBIENTS))
-    po.add_argument("--order-cap", type=int, default=5040)
-    po.add_argument("--degree-cap", type=int, default=64)
+    po.add_argument("--order-cap", type=_positive_int, default=5040)
+    po.add_argument("--degree-cap", type=_positive_int, default=64)
     po.add_argument("map")
     po.set_defaults(func=cmd_order)
 

@@ -93,6 +93,13 @@ def _parse_component_tuples(text: str, ambient: Ambient) -> ProjMap:
         raise CorpusFormatError(str(e)) from e
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"expected a positive integer, not {n}")
+    return n
+
+
 def parse_corpus(text: str) -> list[CorpusRow]:
     rows: list[CorpusRow] = []
     names = set()
@@ -129,11 +136,11 @@ def parse_corpus(text: str) -> list[CorpusRow]:
                 elif key == "gen":
                     generators.append(_parse_component_tuples(value, ambient))
                 elif key == "gen_orders":
-                    gen_orders = [int(v) for v in value.split(",")]
+                    gen_orders = [_positive(v) for v in value.split(",")]
                 elif key == "group":
-                    group_order = int(value)
+                    group_order = _positive(value)
                 elif key == "structure":
-                    structure = tuple(int(v) for v in value.split(","))
+                    structure = tuple(_positive(v) for v in value.split(","))
                 else:
                     raise CorpusFormatError(f"unknown key {key!r}")
             except ValueError as e:  # ParseError, CorpusFormatError, an invalid F or integer

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .cyclo import CycloNumber, _order, _power, _solve
-from .multipoly import MultiPoly, gcd_many
+from .multipoly import MultiPoly, _from_terms, gcd_many
 
 Coeffish = Union[int, "CycloNumber"]
 
@@ -235,10 +235,31 @@ def _gcd_reduce(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[MultiPo
         ell = next((c for c in nonzero if c.total_degree() <= 1), None)
         if ell is not None and not all(ell.divides(c) for c in nonzero):
             continue
-        g = gcd_many(nonzero) if ell is None else ell.normalized()
+        g = _block_gcd(ambient, nonzero) if ell is None else ell.normalized()
         if not g.is_constant():
             out[lo:hi] = [c.exact_div(g) if not c.is_zero() else c for c in block]
     return tuple(out)
+
+
+def _block_gcd(ambient: Ambient, polys: list[MultiPoly]) -> MultiPoly:
+    """gcd_many of nonzero polys homogeneous in each input factor, taken in
+    fewer variables.  With t_j a weight-one variable of factor j and m_j its
+    least exponent in polys, the gcd is prod t_j^m_j times the
+    re-homogenized gcd of the polys at every t_j = 1: setting t_j = 1 is a
+    multiplicative bijection from the forms that t_j does not divide."""
+    factors = [(ws, lo, lo + ws.index(1)) for (ws, _), (lo, _) in
+               zip(ambient.blocks, ambient.block_slices())]
+    low = {t: min(e[t] for p in polys for e in p.terms) for _, _, t in factors}
+    g = gcd_many([_from_terms(p.vars, {tuple(0 if i in low else k for i, k in enumerate(e)): c
+                                       for e, c in p.terms.items()}) for p in polys])
+    top = [max(sum(map(mul, ws, e[lo:])) for e in g.terms) for ws, lo, _ in factors]
+    terms = {}
+    for e, c in g.terms.items():
+        e = list(e)
+        for (ws, lo, t), d in zip(factors, top):
+            e[t] = d - sum(map(mul, ws, e[lo:])) + low[t]
+        terms[tuple(e)] = c
+    return _from_terms(g.vars, terms).normalized()
 
 
 def _scalar_normalize(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[MultiPoly, ...]:

@@ -3,15 +3,20 @@
 Terms map exponent tuples to nonzero coefficients.  The monomial order used
 for leading terms and canonical scaling is lexicographic on exponent tuples,
 which is stable across runs.  The gcd is a primitive pseudo-remainder
-sequence in a main variable of least degree, recursing on the contents.
+sequence in a main variable of least degree, recursing on the contents;
+`gcd_many` runs it only when a univariate gcd mod p per variable, in
+machine-size integers, does not already prove the inputs coprime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
+from math import isqrt, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cyclo import CycloNumber, _join_terms, _mono, _power, _term
+from .cyclo import CycloNumber, _divmod, _join_terms, _mono, _power, _term, prime_factors
 
 Coeffish = Union[int, Fraction, CycloNumber]
 
@@ -356,14 +361,73 @@ def _lead_in(p: MultiPoly, i: int) -> tuple[int, MultiPoly]:
 
 
 def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
-    it = iter(polys)
-    try:
-        g = next(it)
-    except StopIteration:
+    polys = list(polys)
+    if not polys:
         raise ValueError("gcd of empty collection")
-    g = g.normalized()
-    for p in it:
+    if _coprime_mod_p(polys):
+        return MultiPoly.constant(polys[0].vars, 1)
+    g = polys[0].normalized()
+    for p in polys[1:]:
         g = multi_gcd(g, p)
         if g.is_constant() and not g.is_zero():
             break
     return g
+
+
+def _coprime_mod_p(polys: list[MultiPoly]) -> bool:
+    """True only if the gcd G of polys is a nonzero constant, proved mod p.
+
+    Lemma (Brown, JACM 1971; Geddes, Czapor & Labahn, ch. 7).  Let N be the
+    lcm of the conductors, p = 1 (mod N) a prime and r of order N mod p, so
+    zeta_N -> r reduces Z[zeta_N] onto F_p modulo a prime P over p.  Gauss's
+    lemma holds over the DVR O_P: if p divides no denominator, G can be taken
+    primitive in O_P[x] with every input A_i = G * H_i there.  Reduce mod P
+    and set each variable but v to a point (variable i to i + 2).  If some
+    A_i keeps its v-degree, so does G, and its image divides the F_p gcd of
+    the images, so deg_v G is at most that gcd's degree.  If that is 0 for
+    every used v, G is a constant.  Any other outcome returns False.
+    """
+    polys = [f for f in polys if f.terms]
+    n = lcm(1, *(c.n for f in polys for c in f.terms.values()))
+    p, r = _prime_root(n)
+    try:  # zeta_m = zeta_N^(N/m) -> r^(N/m)
+        images = [{e: sum(q.numerator * pow(q.denominator, -1, p) * pow(r, n // c.n * k, p)
+                          for k, q in enumerate(c.coeffs)) for e, c in f.terms.items()}
+                  for f in polys]
+    except ValueError:  # p divides a denominator
+        return False
+    for v in {i for img in images for e in img for i, k in enumerate(e) if k}:
+        g, kept = [], False
+        for img in images:
+            uni = [0] * (max(e[v] for e in img) + 1)
+            for e, c in img.items():
+                uni[e[v]] += c * prod(pow(i + 2, k, p) for i, k in enumerate(e) if i != v)
+            kept = kept or uni[-1] % p != 0
+            g = _gcd_mod_p(g, [c % p for c in uni], p)
+            if kept and len(g) == 1:
+                break
+        if not kept or len(g) > 1:
+            return False
+    return bool(polys)
+
+
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd over F_p of dense ascending lists of residues; a has no trailing zeros."""
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return a
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, [c % p for c in _divmod(a, b)[1]]
+
+
+@lru_cache(maxsize=None)
+def _prime_root(n: int) -> tuple[int, int]:
+    """The least prime p > 2^24 with p = 1 (mod n), and an r of exact order
+    n mod p."""
+    p = next(q for q in count(n * (2**24 // n + 1) + 1, n)
+             if all(q % d for d in range(2, isqrt(q) + 1)))
+    roots = (pow(g, (p - 1) // n, p) for g in count(2))
+    return p, next(r for r in roots if all(pow(r, n // q, p) != 1 for q in prime_factors(n)))

@@ -141,3 +141,16 @@ def test_corpus_format_error_exit_code(tmp_path, capsys):
     for bad_map in ("x(x : y : z)", "(x : y : z) x"):
         assert main(["compose", bad_map, "(x : y : z)"]) == 2
         assert "component tuples" in capsys.readouterr().err
+
+
+def test_bad_caps_and_matrices_are_usage_errors(capsys):
+    for argv in (("--order-cap", "0"), ("--degree-cap", "-1"), ("--order-cap", "x")):
+        assert main(["order", *argv, "(x : y : z)"]) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+    assert run(capsys, "order", "--order-cap", "1", "(x : y : z)") == (0, "1\n")
+    # r = 0, not an array, a float entry, a ragged row, r = 9
+    for bad in ("[[1]]", "5", "[[1.5, 0], [0, 1]]", "[[1, 0], [0]]", json.dumps([[1] * 10] * 10)):
+        assert main(["weyl", "--matrix", bad]) == 2
+        assert "--matrix must be" in capsys.readouterr().err
+    code, out = run(capsys, "weyl", "--matrix", "[[1, 0], [0, 1]]", "--json")
+    assert code == 0 and json.loads(out)["r"] == 1

@@ -51,6 +51,12 @@ def test_malformed_rows_rejected():
         parse_corpus(ROW_1B_NOT_HOMOGENEOUS)
     with pytest.raises(CorpusFormatError, match="line 1"):
         parse_corpus("bad | P2 | gen = (x : y^2 : z) | gen_orders = 2 | group = 2 | structure = 2")
+    # an order that is not positive used to reach order_of_map and raise there
+    for claims in ("gen_orders = -6 | group = 2 | structure = 2",
+                   "gen_orders = 2 | group = 0 | structure = 2",
+                   "gen_orders = 2 | group = 2 | structure = 2,-1"):
+        with pytest.raises(CorpusFormatError, match="positive"):
+            parse_corpus(f"bad | P2 | gen = (x : y : -z) | {claims}")
 
 
 def test_verify_detects_wrong_expectations():

@@ -1,9 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
+from operator import mul
 
 import pytest
 
+from cremonalab.corpus import load_bundled_corpus
 from cremonalab.cyclo import CycloNumber
 from cremonalab.maps import (
     NOT_INVARIANT,
@@ -35,7 +39,7 @@ from cremonalab.maps import (
     smith_diagonal,
     verify_dp4_embedding,
 )
-from cremonalab.multipoly import MultiPoly, gcd_many
+from cremonalab.multipoly import MultiPoly, multi_gcd
 from cremonalab.weyl import OVER_CAP
 
 
@@ -369,26 +373,32 @@ def test_structure_rejects_nonabelian_group():
     assert not abelian_structure_matches(closure, (2, 3))
 
 
+def _plain_gcd_many(polys):
+    """The gcd by the pseudo-remainder sequence alone, without the mod-p
+    certificate or the dehomogenization."""
+    return reduce(multi_gcd, polys, MultiPoly.zero(polys[0].vars))
+
+
 def _gcd_reduce_by_gcd_many(ambient, comps):
     out = list(comps)
     for lo, hi in ambient.block_slices():
         block = out[lo:hi]
-        g = gcd_many([c for c in block if not c.is_zero()])
+        g = _plain_gcd_many([c for c in block if not c.is_zero()])
         if not g.is_constant():
             out[lo:hi] = [c.exact_div(g) if not c.is_zero() else c for c in block]
     return tuple(out)
 
 
-def _random_poly(rng, vars, degree):
-    """A product of `degree` nonzero random linear forms times a constant."""
-    p = MultiPoly.constant(vars, rng.choice((1, -2, 3)))
-    for _ in range(degree):
-        form = MultiPoly.zero(vars)
-        while form.is_zero():
-            for v in vars:
-                form = form + MultiPoly.variable(vars, v).scale(rng.choice((0, 0, 1, -1, 2)))
-        p = p * form
-    return p
+def _random_form(rng, vars, grading, degree, n):
+    """A nonzero form over Q(zeta_n) of the given degree in each grading."""
+    monos = [e for e in itertools.product(range(max(degree) + 1), repeat=len(vars))
+             if all(sum(map(mul, g, e)) == d for g, d in zip(grading, degree))]
+    terms = {}
+    for e in rng.sample(monos, min(len(monos), rng.randint(1, 3))):
+        terms[e] = rng.choice((1, -1, 2, 3))
+        if n > 1:
+            terms[e] += rng.choice((0, 1, -2)) * CycloNumber.zeta(n)
+    return MultiPoly(vars, terms)
 
 
 def test_gcd_reduce_shortcut_matches_gcd_many():
@@ -398,13 +408,21 @@ def test_gcd_reduce_shortcut_matches_gcd_many():
     assert _gcd_reduce(P2, (x + y, 2 * x + 2 * y, zero)) == (one, two, zero)
     rng = random.Random(77)
     reduced = 0
-    for ambient in (P2, P1xP1, WP2111):
+    for ambient in (P2, P1xP1, WP2111, WP3112):
         vars = ambient.vars
-        for _ in range(60):
+        # one grading per input factor: its weights on its slice, 0 elsewhere
+        grading = [(0,) * lo + ws + (0,) * (len(vars) - hi)
+                   for (ws, _), (lo, hi) in zip(ambient.blocks, ambient.block_slices())]
+        ts = [MultiPoly.variable(vars, vs[ws.index(1)]) for ws, vs in ambient.blocks]
+        for trial in range(60):
+            n = 3 if trial % 4 == 3 else 1
             comps = []
             for lo, hi in ambient.block_slices():
-                common = _random_poly(rng, vars, rng.choice((0, 1, 1, 2)))
-                block = [common * _random_poly(rng, vars, rng.choice((0, 1, 1, 2)))
+                common = _random_form(rng, vars, grading, [rng.choice((0, 1, 1, 2)) for _ in ts], n)
+                for t in ts:  # common factors that are powers of each t_j
+                    common = common * t ** rng.choice((0, 0, 1, 2))
+                block = [common * _random_form(rng, vars, grading,
+                                               [rng.choice((0, 1, 1, 2)) for _ in ts], n)
                          if rng.random() < 0.8 else MultiPoly.zero(vars) for _ in range(hi - lo)]
                 if all(c.is_zero() for c in block):
                     block[0] = common
@@ -414,3 +432,18 @@ def test_gcd_reduce_shortcut_matches_gcd_many():
             assert got == want and [str(c) for c in got] == [str(c) for c in want], comps
             reduced += got != tuple(comps)
     assert reduced > 20  # blocks with a nonconstant gcd
+
+
+def test_gcd_reduce_of_birational_corpus_products():
+    # The real traffic: every product of two generators of each row that
+    # is not all degree one, reduced as ProjMap does and by the plain gcd.
+    rows = [r for r in load_bundled_corpus() if not all(g.is_degree_one() for g in r.generators)]
+    assert len(rows) == 10
+    for row in rows:
+        for f, g in itertools.product(row.generators, repeat=2):
+            images = dict(zip(row.ambient.vars, g.components))
+            comps = tuple(c.subs(images) for c in f.components)
+            got = _gcd_reduce(row.ambient, comps)
+            want = _gcd_reduce_by_gcd_many(row.ambient, comps)
+            assert got == want and [str(c) for c in got] == [str(c) for c in want], row.name
+            assert f.compose(g).components == got

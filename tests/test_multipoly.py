@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from cremonalab.cyclo import CycloNumber
-from cremonalab.multipoly import MultiPoly, gcd_many, multi_gcd
+from cremonalab.multipoly import MultiPoly, _coprime_mod_p, _prime_root, gcd_many, multi_gcd
 
 VARS = ("x", "y", "z")
 
@@ -165,3 +166,30 @@ def test_exact_div_recovers_the_cofactor():
                 assert (p * q).exact_div(q) == p
                 with pytest.raises(ValueError):
                     (p * q + 1).exact_div(q)
+
+
+def test_coprimality_certificate_is_sound():
+    # Each case is (g, h1, h2) with h1, h2 coprime: gcd_many must find g in
+    # g*h1 and g*h2 whether or not the mod-p certificate may decide.
+    x, y, z = _vars()
+    p = _prime_root(1)[0]
+    w3, w5 = CycloNumber.zeta(3), CycloNumber.zeta(5)
+    cases = [
+        # deg_x g and deg_y g drop at the certificate's points x = 2, y = 3
+        # (variable i goes to i + 2): the leading coefficients vanish there
+        ((x - 2) * (y - 3) + 1, x + z, y - z),
+        # p divides a denominator; read as 0, 1/p leaves x^2 + y^2 and x*(y + z)
+        (x + y.scale(Fraction(1, p)), x + y.scale(p), y + z),
+        (x + y.scale(Fraction(2, 3)), x + z.scale(Fraction(3, 2)), y - z),
+        (x + y.scale(w3), x + z.scale(w3**2), y - z.scale(w3)),
+        (x + y.scale(w5**2) + z.scale(w5), x - z.scale(w5**3), y + z.scale(w5**4)),
+        (x + y.scale(w3) + z.scale(w5), x + y.scale(w3**2), y + z.scale(w5)),  # N = 15
+    ]
+    for g, h1, h2 in cases:
+        assert _coprime_mod_p([h1, h2]) and gcd_many([h1, h2]) == 1
+        assert not _coprime_mod_p([g * h1, g * h2])
+        assert gcd_many([g * h1, g * h2]) == g.normalized()
+        assert gcd_many([g * h1 * h2, g * h2, g * h1]) == g.normalized()
+    zero = MultiPoly.zero(VARS)
+    assert gcd_many([zero, zero]).is_zero()
+    assert gcd_many([zero, MultiPoly.constant(VARS, 3)]) == 1
