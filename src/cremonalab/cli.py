@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     pco.add_argument("--file", help="corpus file (defaults to the bundled one)")
     pco.add_argument("--verbose", action="store_true")
     pco.add_argument("--json", action="store_true")
-    pco.add_argument("--jobs", type=int, default=1, help="parallel row verification")
+    pco.add_argument("--jobs", type=_positive_int, default=1, help="parallel row verification")
     pco.set_defaults(func=cmd_corpus)
 
     pv = sub.add_parser("verify-tables", help="re-verify all tables and identities")

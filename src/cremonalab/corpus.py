@@ -185,8 +185,15 @@ class RowReport:
 
 def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
     rep = RowReport(row.name)
+    gens, order_cap = row.generators, max(row.gen_orders) * 2 + 2
+    # Orders and commutation are read off the closure; without one they are
+    # computed from the generators.
+    try:
+        closure = group_closure(gens, cap=closure_cap)
+    except (ClosureOverflow, BasePointError) as e:
+        closure, failure = None, str(e)
     surfaces = [Hypersurface(row.ambient, F) for F in row.equations]
-    for k, g in enumerate(row.generators):
+    for k, g in enumerate(gens):
         label = f"gen{k + 1}"
         if surfaces:
             if not g.is_degree_one():
@@ -216,17 +223,15 @@ def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
                         lam ** row.gen_orders[k] == CycloNumber.from_rational(1),
                         f"lambda={lam}",
                     )
-        o = order_of_map(g, order_cap=max(row.gen_orders) * 2 + 2)
+        o = closure.order(k, order_cap) if closure else order_of_map(g, order_cap=order_cap)
         rep.add(f"{label} order", o == row.gen_orders[k], f"computed {o}")
-    for a in range(len(row.generators)):
-        for b in range(a + 1, len(row.generators)):
-            ok = commute(row.generators[a], row.generators[b])
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            ok = closure.commute(a, b) if closure else commute(gens[a], gens[b])
             rep.add(f"gen{a + 1},gen{b + 1} commute", ok,
                     "" if ok else f"gen{a + 1}*gen{b + 1} != gen{b + 1}*gen{a + 1}")
-    try:
-        closure = group_closure(row.generators, cap=closure_cap)
-    except (ClosureOverflow, BasePointError) as e:
-        rep.add("group order", False, str(e))
+    if closure is None:
+        rep.add("group order", False, failure)
         return rep
     rep.add("group order", len(closure) == row.group_order, f"computed {len(closure)}")
     if len(closure) == row.group_order:
@@ -250,5 +255,5 @@ def run_corpus(rows: Sequence[CorpusRow], jobs: int = 1) -> list[RowReport]:
         return [verify_row(row) for row in rows]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
         return list(pool.map(verify_row, rows))

@@ -16,7 +16,7 @@ from math import gcd, prod
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNumber, _order, _power, _solve
+from .cyclo import OVER_CAP, CycloNumber, _order, _power, _solve
 from .multipoly import MultiPoly, _from_terms, gcd_many
 
 Coeffish = Union[int, "CycloNumber"]
@@ -233,7 +233,7 @@ def _gcd_reduce(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[MultiPo
         # A component ell of total degree <= 1 is a unit or irreducible, so
         # the block gcd is 1 or ell; exact division tells which.
         ell = next((c for c in nonzero if c.total_degree() <= 1), None)
-        if ell is not None and not all(ell.divides(c) for c in nonzero):
+        if ell is not None and not all(ell.divides(c) for c in nonzero if c is not ell):
             continue
         g = _block_gcd(ambient, nonzero) if ell is None else ell.normalized()
         if not g.is_constant():
@@ -268,9 +268,10 @@ def _scalar_normalize(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[M
     out = list(comps)
     for (ws, _), (lo, hi) in zip(ambient.blocks, ambient.block_slices()):
         block = out[lo:hi]
-        pivot = next(c for w, c in zip(ws, block) if w == 1 and not c.is_zero())
-        mu = pivot.leading_coeff().inverse()
-        out[lo:hi] = [c.scale(mu**w) for w, c in zip(ws, block)]
+        lc = next(c for w, c in zip(ws, block) if w == 1 and not c.is_zero()).leading_coeff()
+        if not lc.is_one():
+            mu = lc.inverse()
+            out[lo:hi] = [c.scale(mu**w) for w, c in zip(ws, block)]
     return tuple(out)
 
 
@@ -558,8 +559,26 @@ class ClosureOverflow(RuntimeError):
 
 
 class Closure(list):
-    """Group elements in breadth-first order, and the group's invariant factors."""
+    """Group elements in breadth-first order, the identity first, and the
+    group's invariant factors.  step[j][i] is the index of closure[j] * gens[i],
+    so the right-multiplication table answers orders and commutation."""
     invariants: Optional[tuple[int, ...]] = None  # each > 1; None when not abelian
+    step: list[list[int]]
+
+    def order(self, i: int, order_cap: int, degree_cap: int = 64):
+        """order_of_map(gens[i], order_cap, degree_cap), walking i-edges."""
+        j = self.step[0][i]
+        for k in range(1, order_cap + 1):
+            if j == 0:
+                return k
+            if self[j].degree_profile() > degree_cap:
+                return OVER_CAP
+            j = self.step[j][i]
+        return OVER_CAP
+
+    def commute(self, a: int, b: int) -> bool:
+        """Whether gens[a] * gens[b] == gens[b] * gens[a]."""
+        return self.step[self.step[0][a]][b] == self.step[self.step[0][b]][a]
 
 
 def group_closure(gens: Sequence[ProjMap], cap: int = 256) -> Closure:
@@ -571,26 +590,27 @@ def group_closure(gens: Sequence[ProjMap], cap: int = 256) -> Closure:
     if not gens:
         raise ValueError("need at least one generator")
     k = len(gens)
-    ident = ProjMap.identity(gens[0].ambient)
-    seen: dict = {ident.canonical_key(): (ident, (0,) * k)}
-    frontier = [(ident, (0,) * k)]
+    out = Closure([ProjMap.identity(gens[0].ambient)])
+    index = {out[0].canonical_key(): 0}
+    paths = [(0,) * k]
+    out.step = []
     relations: list[list[int]] = []  # kept in echelon form, <= k rows
-    while frontier:
-        nxt = []
-        for g, v in frontier:
-            for i, h in enumerate(gens):
-                gh = g.compose(h)
-                w = v[:i] + (v[i] + 1,) + v[i + 1:]
-                key = gh.canonical_key()
-                if key in seen:
-                    relations = _echelon(relations + [[a - b for a, b in zip(w, seen[key][1])]])
-                    continue
-                if len(seen) >= cap:
-                    raise ClosureOverflow(f"group closure exceeded {cap} elements")
-                seen[key] = (gh, w)
-                nxt.append((gh, w))
-        frontier = nxt
-    out = Closure(g for g, _ in seen.values())
+    for g, v in zip(out, paths):  # both grow as the queue is read
+        row = []
+        for i, h in enumerate(gens):
+            gh = g.compose(h)
+            w = v[:i] + (v[i] + 1,) + v[i + 1:]
+            key = gh.canonical_key()
+            if key in index:
+                relations = _echelon(relations + [[a - b for a, b in zip(w, paths[index[key]])]])
+            elif len(out) >= cap:
+                raise ClosureOverflow(f"group closure exceeded {cap} elements")
+            else:
+                index[key] = len(out)
+                out.append(gh)
+                paths.append(w)
+            row.append(index[key])
+        out.step.append(row)
     inv = tuple(d for d in smith_diagonal(relations + [[0] * k] * (k - len(relations))) if d != 1)
     out.invariants = inv if prod(inv) == len(out) else None  # |G^ab| = |G| iff G is abelian
     return out

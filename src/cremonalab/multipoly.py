@@ -185,20 +185,16 @@ class MultiPoly:
 
     def subs(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials (over a common target roster) for variables."""
-        target_vars: Optional[tuple[str, ...]] = None
-        for img in images.values():
-            target_vars = img.vars
-            break
-        if target_vars is None:
-            target_vars = self.vars
+        target_vars = next(iter(images.values())).vars if images else self.vars
+        if any(img.vars != target_vars for img in images.values()):
+            raise ValueError("images over different variable rosters")
         # Power tables, one per substituted variable.
-        powers: dict[str, list[MultiPoly]] = {}
-        for name in self.vars:
-            if name in images:
-                powers[name] = [MultiPoly.constant(target_vars, 1)]
-        result = MultiPoly.zero(target_vars)
+        powers = {name: [MultiPoly.constant(target_vars, 1), images[name]]
+                  for name in self.vars if name in images}
+        one = {(0,) * len(target_vars): CycloNumber.from_rational(1)}
+        out: dict[tuple[int, ...], CycloNumber] = {}
         for expo, c in self.terms.items():
-            term = MultiPoly.constant(target_vars, c)
+            term = None
             for i, e in enumerate(expo):
                 if e == 0:
                     continue
@@ -207,13 +203,21 @@ class MultiPoly:
                     table = powers[name]
                     while len(table) <= e:
                         table.append(table[-1] * images[name])
-                    term = term * table[e]
+                    factor = table[e]
                 else:
                     if name not in target_vars:
                         raise ValueError(f"no image for variable {name}")
-                    term = term * MultiPoly.variable(target_vars, name) ** e
-            result = result + term
-        return result
+                    factor = MultiPoly.variable(target_vars, name) ** e
+                term = factor if term is None else term * factor
+            # out += c * term, in place
+            for m, v in (one if term is None else term.terms).items():
+                acc = out.get(m)
+                acc = v * c if acc is None else acc + v * c
+                if acc.is_zero():
+                    del out[m]
+                else:
+                    out[m] = acc
+        return _from_terms(target_vars, out)
 
     def evaluate(self, values: Mapping[str, Coeffish]) -> CycloNumber:
         acc = CycloNumber.from_rational(0)
@@ -238,12 +242,14 @@ class MultiPoly:
         rem = dict(self.terms)
         quo: dict[tuple[int, ...], CycloNumber] = {}
         lt = other.leading_monomial()
-        lc_inv = other.terms[lt].inverse()
+        lc_inv = None  # inverted once the first leading term divides
         while rem:
             rm = max(rem)
             diff = tuple(a - b for a, b in zip(rm, lt))
             if any(d < 0 for d in diff):
                 raise ValueError("inexact multivariate division")
+            if lc_inv is None:
+                lc_inv = other.terms[lt].inverse()
             c = quo[diff] = rem[rm] * lc_inv
             # rem -= c * x^diff * other, in place; the term at rm cancels
             for e, oc in other.terms.items():

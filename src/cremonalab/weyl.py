@@ -54,7 +54,9 @@ class PicAut:
 
     def __init__(self, r: int, matrix: Sequence[Sequence[int]], check: bool = True):
         self.r = r
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(map(tuple, matrix))
+        if any(type(x) is not int for row in self.matrix for x in row):  # not bool, not 1.5
+            raise ValueError("matrix entries must be integers")
         n = r + 1
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError(f"matrix must be {n}x{n}")

@@ -148,6 +148,9 @@ def test_bad_caps_and_matrices_are_usage_errors(capsys):
         assert main(["order", *argv, "(x : y : z)"]) == 2
         assert "must be a positive integer" in capsys.readouterr().err
     assert run(capsys, "order", "--order-cap", "1", "(x : y : z)") == (0, "1\n")
+    for jobs in ("0", "-3", "x"):
+        assert main(["corpus", "--jobs", jobs]) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
     # r = 0, not an array, a float entry, a ragged row, r = 9
     for bad in ("[[1]]", "5", "[[1.5, 0], [0, 1]]", "[[1, 0], [0]]", json.dumps([[1] * 10] * 10)):
         assert main(["weyl", "--matrix", bad]) == 2

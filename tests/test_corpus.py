@@ -193,12 +193,22 @@ def test_noncommuting_pair_fails_its_row():
 
 
 def test_closure_overflow_is_a_failed_group_order():
+    # Without a closure, orders and commutation are computed from the
+    # generators, with the same checks and details.
     rows = parse_corpus(
-        "big | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 8 | group = 8 | structure = 8"
+        "big | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 8 | group = 8 | structure = 8\n"
+        "over | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 2 | group = 8 | structure = 8\n"
+        "s3 | P2 | gen = (y : x : z) | gen = (x : z : y) | gen_orders = 2,3 | group = 6 "
+        "| structure = 6"
     )
-    failing = [c for c in verify_row(rows[0], closure_cap=4).checks if not c.passed]
-    assert [(c.label, c.detail) for c in failing] == [
-        ("group order", "group closure exceeded 4 elements")
+    overflow = ("group order", False, "group closure exceeded 4 elements")
+    checks = [[(c.label, c.passed, c.detail) for c in verify_row(row, closure_cap=4).checks]
+              for row in rows]
+    assert checks == [
+        [("gen1 order", True, "computed 8"), overflow],
+        [("gen1 order", False, "computed OverCap"), overflow],
+        [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2"),
+         ("gen1,gen2 commute", False, "gen1*gen2 != gen2*gen1"), overflow],
     ]
 
 
@@ -212,6 +222,33 @@ def test_internal_error_in_closure_propagates(monkeypatch):
     )
     with pytest.raises(ZeroDivisionError):
         verify_row(rows[0])
+
+
+def test_run_corpus_starts_no_more_workers_than_rows(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    rows = parse_corpus(
+        "a | P2 | gen = (x : y : -z) | gen_orders = 2 | group = 2 | structure = 2\n"
+        "b | P2 | gen = (x : -y : z) | gen_orders = 2 | group = 2 | structure = 2"
+    )
+    assert [r.name for r in corpus.run_corpus(rows, jobs=64)] == ["a", "b"]
+    assert started == [2]
 
 
 def _conjugate(row, seed):

@@ -49,8 +49,19 @@ def one_token_mutants(draw):
     return "".join(tokens)
 
 
+def _mutant(name: str, old: str, new: str) -> str:
+    row = next(r for r in ROWS if r.split("|")[0].strip() == name)
+    return row.replace(old, new, 1)
+
+
+# hypothesis mixes the integer literals of every loaded module into its
+# draws, so the 500 examples shift with unrelated edits; the mutants that
+# once hung or crashed the verifier are pinned here.
 @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @hypothesis.given(one_token_mutants())
+@hypothesis.example(_mutant("2.G9", "zeta(9)^6", "zeta(829)^6"))  # lost alarm, then a hang
+@hypothesis.example(_mutant("3.333", "zeta(3)", "zeta(143)"))  # runs far past the budget
+@hypothesis.example(_mutant("3.6.1", "gen_orders = 6", "gen_orders = -6"))  # crashed in verify_row
 def test_one_token_mutation_is_a_format_error_or_a_report(text):
     previous = signal.signal(signal.SIGALRM, _over_budget)
     signal.setitimer(signal.ITIMER_REAL, BUDGET, BUDGET)

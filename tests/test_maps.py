@@ -364,6 +364,41 @@ def test_structure_agrees_with_solution_count_fingerprint():
         assert abelian_structure_matches(closure, known)
 
 
+def test_closure_orders_and_commutation_match_the_maps():
+    # verify_row reads orders and commutation off the closure, at the order
+    # cap it uses: they must be what order_of_map and commute compute.
+    x, y, z = xyz()
+    s3 = [ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])]
+    cases = [(row.generators, max(row.gen_orders) * 2 + 2) for row in load_bundled_corpus()]
+    assert len(cases) == 83
+    for gens, cap in cases + [(s3, 8)]:
+        closure = group_closure(gens, cap=128)
+        assert [closure.order(i, cap) for i in range(len(gens))] == \
+            [order_of_map(g, order_cap=cap) for g in gens]
+        for a, b in itertools.combinations(range(len(gens)), 2):
+            assert closure.commute(a, b) == commute(gens[a], gens[b])
+    assert not group_closure(s3).commute(0, 1)
+
+
+def test_closure_order_keeps_both_caps():
+    x, y, z = xyz()
+    cs24 = [ProjMap(P2, [y * z, x * y, -(x * z)]),  # degree 2, order 4
+            ProjMap(P2, [y * z * (y - z), x * z * (y + z), x * y * (y + z)])]  # degree 3
+    zeta8 = [ProjMap.diagonal(P2, [1, 1, CycloNumber.zeta(8)])]
+    s3 = [ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])]
+    for gens in (cs24, zeta8, s3):
+        closure = group_closure(gens)
+        for i, g in enumerate(gens):
+            for order_cap, degree_cap in itertools.product(range(1, 10), (1, 2, 3)):
+                assert closure.order(i, order_cap, degree_cap) == \
+                    order_of_map(g, order_cap, degree_cap), (i, order_cap, degree_cap)
+    closure = group_closure(cs24)
+    assert [closure.order(0, 4), closure.order(0, 3), closure.order(0, 4, degree_cap=1)] == \
+        [4, OVER_CAP, OVER_CAP]
+    assert [closure.order(1, 4), closure.order(1, 4, degree_cap=2)] == [4, OVER_CAP]
+    assert [group_closure(zeta8).order(0, 8), group_closure(zeta8).order(0, 7)] == [8, OVER_CAP]
+
+
 def test_structure_rejects_nonabelian_group():
     x, y, z = xyz()
     closure = group_closure([ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])])
@@ -432,6 +467,46 @@ def test_gcd_reduce_shortcut_matches_gcd_many():
             assert got == want and [str(c) for c in got] == [str(c) for c in want], comps
             reduced += got != tuple(comps)
     assert reduced > 20  # blocks with a nonconstant gcd
+
+
+def _pivot_coeffs(f):
+    """The leading coefficient of each block's first nonzero weight-one component."""
+    out = []
+    for (ws, _), (lo, hi) in zip(f.ambient.blocks, f.ambient.block_slices()):
+        block = f.components[lo:hi]
+        out.append(next(c for w, c in zip(ws, block) if w == 1 and not c.is_zero()).leading_coeff())
+    return out
+
+
+def _scale_every_block(f):
+    """Canonical components as they were always computed: every block is
+    scaled by its pivot, including a pivot that is already monic."""
+    out = list(f.components)
+    slices = f.ambient.block_slices()
+    for (ws, _), (lo, hi), lc in zip(f.ambient.blocks, slices, _pivot_coeffs(f)):
+        mu = lc.inverse()
+        out[lo:hi] = [c.scale(mu**w) for w, c in zip(ws, out[lo:hi])]
+    return tuple(out)
+
+
+def test_canonical_components_match_scaling_every_block():
+    rng = random.Random(78)
+    monic = []
+    for ambient in (P2, P1xP1, WP2111, WP3112):
+        vars = ambient.vars
+        grading = [(0,) * lo + ws + (0,) * (len(vars) - hi)
+                   for (ws, _), (lo, hi) in zip(ambient.blocks, ambient.block_slices())]
+        for trial in range(20):
+            n = 3 if trial % 2 else 1
+            comps = []
+            for ws, _ in ambient.blocks:  # a factor's components share its degrees
+                deg = [rng.choice((1, 1, 2)) for _ in grading]
+                comps += [_random_form(rng, vars, grading, [w * d for d in deg], n) for w in ws]
+            f = ProjMap(ambient, comps)
+            got, want = f.canonical_components(), _scale_every_block(f)
+            assert got == want and [str(c) for c in got] == [str(c) for c in want], comps
+            monic += [lc.is_one() for lc in _pivot_coeffs(f)]
+    assert any(monic) and not all(monic)
 
 
 def test_gcd_reduce_of_birational_corpus_products():

@@ -41,12 +41,60 @@ def test_substitution():
     assert h == z**2 + x * y
 
 
+def test_substitution_matches_sympy():
+    # Seeded polys over Q and Q(zeta_3) with constant terms, a variable left
+    # without an image, and images whose terms cancel, against sympy.
+    sympy = pytest.importorskip("sympy")
+    zeta3 = (sympy.sqrt(-3) - 1) / 2
+    syms = sympy.symbols(VARS)
+
+    def number(c):  # a + b*zeta_3
+        a, b = (sympy.Rational(q.numerator, q.denominator) for q in c.promote(3).coeffs)
+        return a + b * zeta3
+
+    def sp(p):
+        return sum(number(c) * sympy.Mul(*(v**k for v, k in zip(syms, e)))
+                   for e, c in p.terms.items())
+
+    def random_poly(rng, n, most):
+        terms = {}
+        for _ in range(rng.randint(1, most)):
+            e = tuple(rng.randint(0, 2) for _ in VARS)
+            terms[e] = rng.choice([1, -1, 2, Fraction(-3, 2)])
+            if n > 1:
+                terms[e] += rng.choice([0, 1, -2]) * CycloNumber.zeta(n)
+        return MultiPoly(VARS, terms)
+
+    x, y, z = _vars()
+    rng = random.Random(515)
+    cases = [((x + y) ** 2 - z**2 + 3, {"x": z - y}),  # all but the constant cancels
+             (x * y + x - 5, {"x": y.scale(Fraction(1, 2)), "y": z, "z": x})]
+    for trial in range(40):
+        n = 3 if trial % 2 else 1
+        images = {v: random_poly(rng, n, 3) for v in VARS if rng.random() < 0.7}
+        if len(images) > 1 and trial % 5 == 0:  # an image that cancels another's terms
+            a, b = rng.sample(sorted(images), 2)
+            images[b] = -images[a] + random_poly(rng, n, 1)
+        cases.append((random_poly(rng, n, 5) + rng.choice([0, 2]), images))
+    zeros = 0
+    for p, images in cases:
+        got = p.subs(images)
+        want = sympy.expand(sp(p).subs({syms[VARS.index(v)]: sp(q) for v, q in images.items()},
+                                       simultaneous=True))
+        assert sympy.expand(sp(got) - want) == 0, (p, images)
+        zeros += got.is_constant()
+    assert zeros  # the first case cancels down to a constant
+
+
 def test_exact_division_and_gcd():
     x, y, z = _vars()
     p = (x + y) * (y + z) ** 2
     assert p.exact_div(y + z) == (x + y) * (y + z)
     with pytest.raises(ValueError):
-        (x**2 + y).exact_div(x + y)
+        (x**2 + y).exact_div(x + y)  # x^2 divides, a later remainder term does not
+    with pytest.raises(ValueError):
+        (x * y + y).exact_div(x.scale(2) + 1)  # a non-monic divisor: y/2 is left
+    assert (x.scale(6) - y.scale(3)).exact_div(MultiPoly.constant(VARS, 3)) == x.scale(2) - y
     g = multi_gcd((x + y) * (x + z), (x + y) * (y + z))
     assert g == (x + y).normalized()
     assert gcd_many([x * y, x * z, x * (y + z)]) == x.normalized()

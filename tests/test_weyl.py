@@ -80,6 +80,9 @@ def test_is_weyl_examples():
     assert p.is_weyl() and order(p) == 2
     with pytest.raises(ValueError):
         PicAut(7, [[2 if i == j == 0 else int(i == j) for j in range(8)] for i in range(8)])
+    for entry in (1.5, True, "1"):  # entries used to go through int(), which truncates 1.5
+        with pytest.raises(ValueError, match="integers"):
+            PicAut(1, [[entry, 0], [0, 1]])
 
 
 def test_order_examples():
