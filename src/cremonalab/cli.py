@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 from . import corpus as corpus_mod
 from . import tables
 from .expr import ParseError, parse_ratfunc
-from .jonq import JonqElement, det_class, is_involution, is_twisting, order_j, ramification_data
+from .jonq import JonqElement, det_class, is_involution, is_twisting, order_j
 from .lattice import enumerate_conic_classes, enumerate_exceptional
+from .maps import DEGREE_CAP, order_of_map
 from .weyl import (
     OVER_CAP,
     PicAut,
@@ -141,8 +142,6 @@ def cmd_compose(args) -> int:
 
 
 def cmd_order(args) -> int:
-    from .maps import order_of_map
-
     try:
         f, _ = _parse_map(args.map, args.ambient)
     except (ParseError, corpus_mod.CorpusFormatError) as e:
@@ -181,22 +180,23 @@ def cmd_jonq(args) -> int:
     report = {"order": o if isinstance(o, int) else "over-cap"}
     report["involution"] = is_involution(e)
     if e.has_trivial_base():
-        delta = det_class(e)
+        # the verdict carries the determinant class; test it against None,
+        # as its truth is `absolute`
+        verdict = is_twisting(e) if report["involution"] else None
+        delta = det_class(e) if verdict is None else verdict.delta
         report["delta"] = {
             "radical": str(delta.radical),
             "constant": str(delta.constant),
             "status": delta.constant_status,
         }
-        if report["involution"]:
-            verdict = is_twisting(e)
+        if verdict is not None:
             report["twisting"] = {
                 "absolute": verdict.absolute,
                 "effective": verdict.effective,
             }
             if verdict.absolute:
-                ram = ramification_data(e)
-                report["branch_points"] = ram.branch_points
-                report["genus"] = ram.genus
+                report["branch_points"] = verdict.branch_points
+                report["genus"] = verdict.genus
     _emit(report, args.json)
     return 0
 
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("order", help="order of a self-map")
     po.add_argument("--ambient", default="P2", choices=sorted(corpus_mod.AMBIENTS))
     po.add_argument("--order-cap", type=_positive_int, default=5040)
-    po.add_argument("--degree-cap", type=_positive_int, default=64)
+    po.add_argument("--degree-cap", type=_positive_int, default=DEGREE_CAP)
     po.add_argument("map")
     po.set_defaults(func=cmd_order)
 

@@ -131,7 +131,7 @@ class JonqElement:
 
     @staticmethod
     def identity() -> "JonqElement":
-        return JonqElement(((1, 0), (0, 1)))
+        return _IDENTITY
 
     @staticmethod
     def sigma(g: Union[RatFunc, UniPoly, int]) -> "JonqElement":
@@ -172,7 +172,7 @@ class JonqElement:
         return JonqElement._of(_adjugate(_substitute_base(self.m, binv)), binv)
 
     def is_identity(self) -> bool:
-        return self == JonqElement.identity()
+        return self == _IDENTITY
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JonqElement):
@@ -185,6 +185,9 @@ class JonqElement:
     def __repr__(self) -> str:
         a = self.a
         return f"JonqElement(A=[[{a[0][0]}, {a[0][1]}], [{a[1][0]}, {a[1][1]}]], beta=[[{self.beta[0][0]}, {self.beta[0][1]}], [{self.beta[1][0]}, {self.beta[1][1]}]])"
+
+
+_IDENTITY = JonqElement(((1, 0), (0, 1)))
 
 
 def _root_order_bound(values) -> int:
@@ -207,17 +210,16 @@ def order_j(e: JonqElement, cap: int = 5040):
     root of z^2 - (c - 2) z + 1, of degree at most 2 over Q(c), and a fiber
     loop past `_root_order_bound([c])` proves the order infinite.
     """
-    one = JonqElement.identity()
     bound = _root_order_bound(c for row in e.beta for c in row)
-    b = _order(JonqElement.base_only(e.beta), min(cap, bound), one.__eq__)
+    b = _order(JonqElement.base_only(e.beta), min(cap, bound), JonqElement.is_identity)
     if b is OVER_CAP:
         return OVER_CAP
-    f = _power(e, b, one)
+    f = _power(e, b, _IDENTITY)
     tr = f.m[0][0] + f.m[1][1]
     c = RatFunc(tr * tr, f.det())
     if not c.is_constant():
         return OVER_CAP
-    k = _order(f, min(cap // b, _root_order_bound([c.constant_value()])), one.__eq__)
+    k = _order(f, min(cap // b, _root_order_bound([c.constant_value()])), JonqElement.is_identity)
     return OVER_CAP if k is OVER_CAP else b * k
 
 
@@ -295,6 +297,10 @@ def det_class(e: JonqElement, field_conductor: Optional[int] = None) -> SquareCl
 
 
 def is_involution(e: JonqElement) -> bool:
+    """e^2 = 1 and e != 1.  With a trivial base, m^2 = tr(m) m - det(m) I
+    (Cayley-Hamilton) is scalar iff tr(m) = 0, since a scalar m has trace 2c."""
+    if e.has_trivial_base():
+        return (e.m[0][0] + e.m[1][1]).is_zero()
     return not e.is_identity() and e.compose(e).is_identity()
 
 
@@ -305,58 +311,48 @@ class TwistingVerdict:
     absolute uses the algebraically-closed semantics (only the radical of
     the determinant class matters); effective keeps the ground field's
     constants and may be None when the constant test is indeterminate.
+    The radical's roots, with infinity for an odd degree, are the branch
+    points of the fixed curve.
     """
 
     absolute: bool
     effective: Optional[bool]
     delta: SquareClass
+    branch_points: int
+    genus: int
 
     def __bool__(self) -> bool:
         return self.absolute
 
 
 def is_twisting(e: JonqElement, field_conductor: Optional[int] = None) -> TwistingVerdict:
-    if not is_involution(e):
-        raise ValueError("twisting test requires a nontrivial involution")
     if not e.has_trivial_base():
         raise ValueError("twisting test requires a trivial action on the base")
+    if not is_involution(e):
+        raise ValueError("twisting test requires a nontrivial involution")
     delta = det_class(e, field_conductor)
-    absolute = not delta.is_trivial_absolute()
     trivial_eff = delta.is_trivial_effective()
-    effective = None if trivial_eff is None else not trivial_eff
-    return TwistingVerdict(absolute, effective, delta)
+    deg = delta.radical.degree
+    two_k = deg + deg % 2  # odd radicals ramify over infinity as well
+    return TwistingVerdict(not delta.is_trivial_absolute(),
+                           None if trivial_eff is None else not trivial_eff,
+                           delta, two_k, two_k // 2 - 1)
 
 
-@dataclass
-class RamificationData:
-    branch_points: int  # 2k, including the point at infinity for odd radicals
-    genus: int
-    radical: UniPoly
-
-
-def ramification_data(e: JonqElement) -> RamificationData:
-    """Branch count and genus of the curve fixed by a twisting involution."""
+def ramification_data(e: JonqElement) -> TwistingVerdict:
+    """The verdict of a twisting involution, with the branch count and genus
+    of its fixed curve."""
     verdict = is_twisting(e)
     if not verdict.absolute:
         raise ValueError("element is not a twisting involution")
-    deg = verdict.delta.radical.degree
-    two_k = deg + (deg % 2)  # odd radicals ramify over infinity as well
-    return RamificationData(two_k, two_k // 2 - 1, verdict.delta.radical)
-
-
-@dataclass
-class SigmaForm:
-    """Antidiagonal normal form ((0, g), (1, 0)) of an involution."""
-
-    g: RatFunc
-
-    def element(self) -> JonqElement:
-        return JonqElement.sigma(self.g)
+    return verdict
 
 
 @dataclass
 class NormalizationRecord:
-    sigma: SigmaForm
+    """e = p sigma_g p^-1 with p the conjugator, sigma_g = ((0, g), (1, 0))."""
+
+    g: RatFunc
     conjugator: Mat2
     verified: bool
 
@@ -373,11 +369,10 @@ def normalize_involution(e: JonqElement) -> NormalizationRecord:
     if not is_involution(e):
         raise ValueError("normalization requires an involution")
     m = e.a
-    # e^2 is the scalar lam*I in GL(2, k(x)); with A scaled canonically,
-    # lam = g of the antidiagonal form.
-    prod = _mat2_mul(m, m)
-    assert prod[0][1].is_zero() and prod[1][0].is_zero() and prod[0][0] == prod[1][1]
-    lam = prod[0][0]
+    # tr(A) = 0, so A^2 = -det(A) I: with A scaled canonically, lam = -det(A)
+    # is g of the antidiagonal form.
+    lam = -_det(m)
+    sigma = ((_rf(0), lam), (_rf(1), _rf(0)))
     x = UniPoly.x()
     for v0, v1 in ((1, 0), (0, 1), (1, 1), (x, 1), (x + 1, 1), (x**2, 1)):
         v = (_rf(v0), _rf(v1))
@@ -386,15 +381,10 @@ def normalize_involution(e: JonqElement) -> NormalizationRecord:
         if detp.is_zero():
             continue  # v is an eigenvector; try the next one
         conj: Mat2 = ((v[0], w[0]), (v[1], w[1]))
-        sigma = SigmaForm(lam)
-        verified = _conjugation_identity_holds(conj, sigma.element(), e)
-        return NormalizationRecord(sigma, conj, verified)
+        # p * sigma = e * p, projectively
+        verified = JonqElement(_mat2_mul(conj, sigma)) == JonqElement(_mat2_mul(m, conj))
+        return NormalizationRecord(lam, conj, verified)
     raise ValueError("no usable basis vector found in the deterministic sequence")
-
-
-def _conjugation_identity_holds(p: Mat2, s: JonqElement, e: JonqElement) -> bool:
-    # check p * s = e * p projectively
-    return JonqElement(_mat2_mul(p, s.a)) == JonqElement(_mat2_mul(e.a, p))
 
 
 @dataclass

@@ -20,6 +20,9 @@ from .cyclo import OVER_CAP, CycloNumber, _order, _power, _solve
 from .multipoly import MultiPoly, _from_terms, gcd_many
 
 Coeffish = Union[int, "CycloNumber"]
+# Past this total degree a power or a closure element is taken as evidence of
+# infinite order; finite groups in the corpus stay far below it.
+DEGREE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -398,7 +401,7 @@ def is_fixed_point(f: ProjMap, point: ProjPoint) -> bool:
     return f.evaluate(point) == point
 
 
-def order_of_map(f: ProjMap, order_cap: int = 5040, degree_cap: int = 64):
+def order_of_map(f: ProjMap, order_cap: int = 5040, degree_cap: int = DEGREE_CAP):
     """Least k with f^k the identity; OVER_CAP past either cap."""
     if order_cap < 1 or degree_cap < 1:
         raise ValueError("caps must be positive")
@@ -565,7 +568,7 @@ class Closure(list):
     invariants: Optional[tuple[int, ...]] = None  # each > 1; None when not abelian
     step: list[list[int]]
 
-    def order(self, i: int, order_cap: int, degree_cap: int = 64):
+    def order(self, i: int, order_cap: int, degree_cap: int = DEGREE_CAP):
         """order_of_map(gens[i], order_cap, degree_cap), walking i-edges."""
         j = self.step[0][i]
         for k in range(1, order_cap + 1):
@@ -586,7 +589,9 @@ def group_closure(gens: Sequence[ProjMap], cap: int = 256) -> Closure:
 
     A product g*h_i landing on a known element gives the relation v + e_i - u
     between the exponent vectors of the paths that first reached them.  By
-    Schreier's lemma Z^k modulo these relations is G's abelianization."""
+    Schreier's lemma Z^k modulo these relations is G's abelianization.
+    ClosureOverflow past cap elements, or at an element of degree over
+    DEGREE_CAP."""
     if not gens:
         raise ValueError("need at least one generator")
     k = len(gens)
@@ -605,6 +610,8 @@ def group_closure(gens: Sequence[ProjMap], cap: int = 256) -> Closure:
                 relations = _echelon(relations + [[a - b for a, b in zip(w, paths[index[key]])]])
             elif len(out) >= cap:
                 raise ClosureOverflow(f"group closure exceeded {cap} elements")
+            elif gh.degree_profile() > DEGREE_CAP:
+                raise ClosureOverflow(f"group closure element of degree over {DEGREE_CAP}")
             else:
                 index[key] = len(out)
                 out.append(gh)

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .corpus import load_bundled_corpus, run_corpus
-from .jonq import (
-    build_root_odd,
-    det_class,
-    fourth_root_example,
-    is_twisting,
-    order_j,
-    ramification_data,
-)
+from .jonq import build_root_odd, fourth_root_example, is_twisting, order_j
 from .lattice import (
     BlowupLattice,
     arcond_search,
@@ -35,8 +28,7 @@ from .lattice import (
     intersect,
     neighbor_profile,
 )
-from .maps import (P2, ProjMap, abelian_structure_matches, commute, group_closure,
-                   order_of_map, verify_dp4_embedding)
+from .maps import P2, ProjMap, abelian_structure_matches, group_closure, verify_dp4_embedding
 from .multipoly import MultiPoly
 from .poly import RatFunc, UniPoly
 from .weyl import (
@@ -213,9 +205,9 @@ def _cs24_suite() -> tuple[bool, str]:
     return _sub_checks({
         "g1^2 = (-x : y : z)": g1.compose(g1) == minus,
         "g2^2 = (-x : y : z)": g2.compose(g2) == minus,
-        "g1 order 4": order_of_map(g1) == 4,
-        "g2 order 4": order_of_map(g2) == 4,
-        "commute": commute(g1, g2),
+        "g1 order 4": closure.order(0, len(closure)) == 4,
+        "g2 order 4": closure.order(1, len(closure)) == 4,
+        "commute": closure.commute(0, 1),
         "g1*g2 = g3": g1.compose(g2) == g3,
         "group order 8": len(closure) == 8,
         "structure 2,4": abelian_structure_matches(closure, (2, 4)),
@@ -227,15 +219,15 @@ def _fourth_root_suite() -> tuple[bool, str]:
     a = ex["alpha"]
     a2 = a.compose(a)
     a4 = a2.compose(a2)
-    x = UniPoly.x()
+    verdict = is_twisting(a4)
     return _sub_checks({
         "alpha^2": a2 == ex["alpha2"],
         "alpha^4": a4 == ex["alpha4"],
         "order 8": order_j(a) == 8,
-        "radical x^4 - 1": det_class(a4).radical == x**4 - 1,
-        "twisting": is_twisting(a4).absolute,
-        "4 branch points": ramification_data(a4).branch_points == 4,
-        "genus 1": ramification_data(a4).genus == 1,
+        "radical x^4 - 1": verdict.delta.radical == UniPoly.x() ** 4 - 1,
+        "twisting": verdict.absolute,
+        "4 branch points": verdict.branch_points == 4,
+        "genus 1": verdict.genus == 1,
     })
 
 

@@ -70,6 +70,21 @@ def test_jonq_analysis(capsys):
     assert data["delta"]["radical"] == "x^4 - 1"
     assert data["twisting"]["absolute"] is True
     assert data["branch_points"] == 4 and data["genus"] == 1
+    square = {"constant": "1", "radical": "1", "status": "resolved_square"}
+    reports = {
+        # y -> -1/y: det 1 is a square, so not twisting
+        "0, -1, 1, 0": {"delta": square, "involution": True, "order": 2,
+                        "twisting": {"absolute": False, "effective": False}},
+        # an odd radical ramifies over infinity too
+        "0, x, 1, 0": {"branch_points": 2, "genus": 0, "involution": True, "order": 2,
+                       "delta": {"constant": "-1", "radical": "x",
+                                 "status": "resolved_nonsquare"},
+                       "twisting": {"absolute": True, "effective": True}},
+        "1, x, 0, 1": {"delta": square, "involution": False, "order": "over-cap"},
+    }
+    for element, report in reports.items():
+        code, out = run(capsys, "jonq", "--element", element, "--json")
+        assert code == 0 and json.loads(out) == report, element
 
 
 def test_jonq_with_base(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import signal
 
 import pytest
 
@@ -209,6 +210,29 @@ def test_closure_overflow_is_a_failed_group_order():
         [("gen1 order", False, "computed OverCap"), overflow],
         [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2"),
          ("gen1,gen2 commute", False, "gen1*gen2 != gen2*gen1"), overflow],
+    ]
+
+
+def test_runaway_degree_is_a_failed_group_order():
+    # g^k has degree 2^k, so only the closure's degree bound ends this row;
+    # a repeating timer fails the test rather than let it hang
+    row = parse_corpus(
+        "h | P2 | gen = (x*y : y^2 : z^2) | gen_orders = 2 | group = 2 | structure = 2"
+    )[0]
+
+    def over_budget(signum, frame):
+        raise TimeoutError("row h took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.setitimer(signal.ITIMER_REAL, 1.0, 1.0)
+    try:
+        checks = [(c.label, c.passed, c.detail) for c in verify_row(row).checks]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert checks == [
+        ("gen1 order", False, "computed OverCap"),
+        ("group order", False, "group closure element of degree over 64"),
     ]
 
 

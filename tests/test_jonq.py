@@ -38,6 +38,41 @@ def test_sigma_is_involution():
     assert order_j(s) == 2
 
 
+def test_is_involution_matches_composition():
+    # the trace test holds for a trivial base only; an oracle composes e o e
+    def oracle(e):
+        return not e.is_identity() and e.compose(e).is_identity()
+
+    z3 = CycloNumber.zeta(3)
+    cases = [
+        JonqElement.identity(),
+        JonqElement(((rf(0), rf(x())), (rf(1), rf(0))), ((z3, 0), (0, 1))),  # base of order 3
+        JonqElement(((rf(0), rf(x())), (rf(1), rf(0))), ((-1, 0), (0, 1))),  # sigma_x, x -> -x
+        JonqElement(((rf(0), rf(x() ** 2 + 1)), (rf(1), rf(0))), ((-1, 0), (0, 1))),
+    ]
+    assert [is_involution(e) for e in cases] == [False, False, False, True]
+    rng = random.Random(23)
+    for unit in (1, CycloNumber.zeta(4), z3):
+        scalars = [0, 1, -1, 2, unit, -unit]
+        bases = [None, ((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((unit, 0), (0, 1)), ((1, 1), (0, 1))]
+
+        def rp():
+            return rf(UniPoly([CycloNumber.coerce(rng.choice(scalars))
+                               for _ in range(rng.randint(1, 3))]))
+
+        for _ in range(40):
+            a, b, c = rp(), rp(), rp()
+            d = -a if rng.random() < 0.6 else rp()
+            if (a * d - b * c).is_zero():
+                continue
+            cases.append(JonqElement(((a, b), (c, d)), rng.choice(bases)))
+    involutions = 0
+    for e in cases:
+        assert is_involution(e) == oracle(e), e
+        involutions += oracle(e)
+    assert 10 < involutions < len(cases) - 10
+
+
 def test_group_axioms_randomized():
     rng = random.Random(61)
     i = CycloNumber.zeta(4)
@@ -240,7 +275,7 @@ def test_ramification_examples():
 def test_normalize_involution():
     rec = normalize_involution(JonqElement.sigma(rf(x())))
     assert rec.verified
-    assert rec.sigma.g == rf(x())
+    assert rec.g == rf(x())
     ident = ((rf(1), rf(0)), (rf(0), rf(1)))
     assert rec.conjugator == ident
 
@@ -248,11 +283,11 @@ def test_normalize_involution():
     m = JonqElement(((h, -g), (rf(1), -h)))
     rec = normalize_involution(m)
     assert rec.verified
-    assert square_class(rec.sigma.g).radical == square_class(g - h * h).radical
+    assert square_class(rec.g).radical == square_class(g - h * h).radical
 
     rec = normalize_involution(JonqElement(((rf(1), rf(0)), (rf(0), rf(-1)))))
     assert rec.verified
-    assert square_class(rec.sigma.g).radical.is_one()
+    assert square_class(rec.g).radical.is_one()
 
 
 def test_det_class_conjugation_invariance():
