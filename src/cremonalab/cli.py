@@ -70,8 +70,7 @@ def cmd_enumerate(args) -> int:
     fn = enumerate_exceptional if args.kind == "exc" else enumerate_conic_classes
     classes = fn(args.r)
     if args.format == "json":
-        payload = [{"d": c.d, "m": list(c.m)} for c in classes]
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        _emit([{"d": c.d, "m": list(c.m)} for c in classes], True)
     else:
         for c in classes:
             print(c)
@@ -240,8 +239,7 @@ def cmd_verify_tables(args) -> int:
         )
         ok = ok and it.passed
     if args.json:
-        print(json.dumps({"passed": ok, "items": payload}, sort_keys=True,
-                         separators=(",", ":")))
+        _emit({"passed": ok, "items": payload}, True)
     else:
         for it in items:
             print(f"[{'PASS' if it.passed else 'FAIL'}] {it.name:22s} {it.detail}")

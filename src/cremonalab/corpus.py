@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .cyclo import CycloNumber
-from .expr import _split_top, parse_expression, parse_tuple
+from .expr import parse_expression, parse_tuples
 from .maps import (
     NOT_INVARIANT,
     Ambient,
@@ -36,7 +36,7 @@ from .maps import (
     group_closure,
     in_span,
     order_of_map,
-    semi_invariance,
+    scalar_multiple,
 )
 from .multipoly import MultiPoly
 
@@ -69,22 +69,17 @@ class CorpusFormatError(ValueError):
 
 
 def _parse_component_tuples(text: str, ambient: Ambient) -> ProjMap:
-    """Parse "(..:..)" or "(..:..) x (..:..)" into a map on the ambient.
-
-    The variables sit inside the parentheses, so an x at depth 0 separates
-    tuples; anything else between them fails to parse as a tuple.
-    """
-    groups = _split_top(text, "x")
-    if len(groups) != len(ambient.blocks):
+    """Parse "(..:..)" or "(..:..) x (..:..)" into a map on the ambient."""
+    tuples = parse_tuples(text, ambient.vars)
+    if len(tuples) != len(ambient.blocks):
         raise CorpusFormatError(
-            f"expected {len(ambient.blocks)} component tuples, found {len(groups)}"
+            f"expected {len(ambient.blocks)} component tuples, found {len(tuples)}"
         )
     comps: list[MultiPoly] = []
-    for grp, (lo, hi) in zip(groups, ambient.block_slices()):
-        parts = parse_tuple(grp, ambient.vars)
+    for k, (parts, (lo, hi)) in enumerate(zip(tuples, ambient.block_slices()), start=1):
         if len(parts) != hi - lo:
             raise CorpusFormatError(
-                f"expected {hi - lo} components in tuple {grp.strip()}, found {len(parts)}"
+                f"expected {hi - lo} components in tuple {k}, found {len(parts)}"
             )
         comps.extend(parts)
     try:
@@ -192,25 +187,23 @@ def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
         closure = group_closure(gens, cap=closure_cap)
     except (ClosureOverflow, BasePointError) as e:
         closure, failure = None, str(e)
-    surfaces = [Hypersurface(row.ambient, F) for F in row.equations]
     for k, g in enumerate(gens):
         label = f"gen{k + 1}"
-        if surfaces:
+        if row.equations:
             if not g.is_degree_one():
                 rep.add(f"{label} invariance", False, "generator is not degree one")
             else:
                 details = []
                 scalars = []
                 ok = True
-                for s in surfaces:
-                    lam = semi_invariance(s, g)
+                images = dict(zip(row.ambient.vars, g.components))
+                for F in row.equations:
+                    pulled = F.subs(images)
+                    lam = scalar_multiple(pulled, F)
                     if lam is not NOT_INVARIANT:
                         details.append(str(lam))
                         scalars.append(lam)
-                    elif len(surfaces) > 1 and in_span(
-                        s.equation.subs(dict(zip(row.ambient.vars, g.components))),
-                        row.equations,
-                    ) is not None:
+                    elif len(row.equations) > 1 and in_span(pulled, row.equations) is not None:
                         details.append("mixes equations")
                     else:
                         ok = False

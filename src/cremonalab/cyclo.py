@@ -403,10 +403,6 @@ def _try_descend(x: CycloNumber, m: int) -> Optional[CycloNumber]:
     return None if y is None else CycloNumber(m, y)
 
 
-ZERO = CycloNumber.from_rational(0)
-ONE = CycloNumber.from_rational(1)
-
-
 class SquareTest:
     """Outcome of an exact constant square test."""
 

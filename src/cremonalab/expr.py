@@ -1,14 +1,15 @@
 """Shared expression grammar for surface equations, map components and CLI input.
 
 Grammar: integers, rationals p/q, zeta(N) and zeta(N)^k, named variables,
-operators + - * / ^ and parentheses; whitespace is ignored.  Division is
-restricted to constant divisors when evaluating into polynomials, while the
-rational-function evaluator accepts polynomial divisors.
+operators + - * / ^ and parentheses; whitespace is ignored.  A map is one
+component tuple "(e : e : ...)" per factor, the tuples joined by the name x.
+The parser evaluates as it reads, into polynomials over a roster (divisors
+and the bases of negative powers must be constant) or into rational
+functions of one variable.  Error offsets count from the start of the text.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import CycloNumber, _power
@@ -54,7 +55,7 @@ def _tokenize(text: str) -> list[_Tok]:
             toks.append(_Tok("name", text[i:j], i))
             i = j
             continue
-        if ch in "+-*/^()":
+        if ch in "+-*/^():":
             toks.append(_Tok(ch, ch, i))
             i += 1
             continue
@@ -63,15 +64,63 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-# AST nodes: ("num", Fraction) | ("zeta", n) | ("var", name)
-#            | ("+"|"-"|"*"|"/", lhs, rhs) | ("neg", node) | ("pow", node, k)
+class _Polys:
+    """MultiPolys over a roster; a divisor or the base of a negative power must be constant."""
+
+    def __init__(self, vars: Sequence[str]):
+        self.vars = tuple(vars)
+
+    def number(self, c) -> MultiPoly:
+        return MultiPoly.constant(self.vars, c)
+
+    def variable(self, name: str, pos: int) -> MultiPoly:
+        if name not in self.vars:
+            raise ParseError(f"unknown variable {name!r}", pos)
+        return MultiPoly.variable(self.vars, name)
+
+    def divide(self, a: MultiPoly, b: MultiPoly, pos: int) -> MultiPoly:
+        if not b.is_constant():
+            raise ParseError("division by a non-constant polynomial", pos)
+        return a.scale(b.constant_value().inverse())
+
+    def power(self, a: MultiPoly, k: int, pos: int) -> MultiPoly:
+        if k >= 0:
+            return a**k
+        if not a.is_constant():
+            raise ParseError("negative power of a non-constant", pos)
+        return self.number(a.constant_value() ** k)
+
+
+class _RatFuncs:
+    """Rational functions of one variable."""
+
+    def __init__(self, var: str):
+        self.var = var
+
+    def number(self, c) -> RatFunc:
+        return RatFunc.coerce(c, self.var)
+
+    def variable(self, name: str, pos: int) -> RatFunc:
+        if name != self.var:
+            raise ParseError(f"unknown variable {name!r} (expected {self.var!r})", pos)
+        return RatFunc.x(self.var)
+
+    def divide(self, a: RatFunc, b: RatFunc, pos: int) -> RatFunc:
+        return a / b
+
+    def power(self, a: RatFunc, k: int, pos: int) -> RatFunc:
+        if k < 0:
+            a, k = a.inverse(), -k
+        return _power(a, k, self.number(1))
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """Recursive descent that evaluates into `ring` as it reads."""
+
+    def __init__(self, text: str, ring):
         self.toks = _tokenize(text)
         self.i = 0
+        self.ring = ring
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -87,56 +136,81 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {t.kind!r}", t.pos)
         return t
 
-    def parse(self):
-        node = self.expr()
+    def parse(self, rule):
+        value = rule()
         t = self.peek()
         if t.kind != "end":
             raise ParseError(f"unexpected token {t.kind!r}", t.pos)
-        return node
+        return value
+
+    def apply(self, op, a, b, pos: int):
+        """ring.divide or ring.power; a zero divisor is an error at its operator."""
+        try:
+            return op(a, b, pos)
+        except ZeroDivisionError:
+            raise ParseError("division by zero", pos) from None
+
+    def tuples(self) -> list[tuple]:
+        found = [self.component_tuple()]
+        while self.peek().kind == "name" and self.peek().value == "x":
+            self.next()
+            found.append(self.component_tuple())
+        return found
+
+    def component_tuple(self) -> tuple:
+        t = self.next()
+        if t.kind != "(":
+            raise ParseError("expected parenthesized component tuples", t.pos)
+        comps = [self.expr()]
+        while self.peek().kind == ":":
+            self.next()
+            comps.append(self.expr())
+        self.expect(")")
+        return tuple(comps)
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
             rhs = self.term()
-            node = (op, node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
+            t = self.next()
             rhs = self.factor()
-            node = (op, node, rhs)
-        return node
+            value = value * rhs if t.kind == "*" else self.apply(self.ring.divide, value, rhs, t.pos)
+        return value
 
     def factor(self):
         t = self.peek()
         if t.kind == "-":
             self.next()
-            return ("neg", self.factor())
+            return -self.factor()
         if t.kind == "+":
             self.next()
             return self.factor()
-        node = self.atom()
+        value = self.atom()
         if self.peek().kind == "^":
-            self.next()
+            t = self.next()
             sign = 1
             if self.peek().kind == "-":
                 self.next()
                 sign = -1
-            e = self.expect("int")
-            node = ("pow", node, sign * e.value)
-        return node
+            k = sign * self.expect("int").value
+            value = self.apply(self.ring.power, value, k, t.pos)
+        return value
 
     def atom(self):
         t = self.next()
         if t.kind == "int":
-            return ("num", Fraction(t.value))
+            return self.ring.number(t.value)
         if t.kind == "(":
-            node = self.expr()
+            value = self.expr()
             self.expect(")")
-            return node
+            return value
         if t.kind == "name":
             if t.value == "zeta":
                 self.expect("(")
@@ -144,96 +218,20 @@ class _Parser:
                 self.expect(")")
                 if n.value < 1:
                     raise ParseError("zeta conductor must be positive", n.pos)
-                return ("zeta", n.value)
-            return ("var", t.value, t.pos)
+                return self.ring.number(CycloNumber.zeta(n.value))
+            return self.ring.variable(t.value, t.pos)
         raise ParseError(f"unexpected token {t.kind!r}", t.pos)
-
-
-def parse_ast(text: str):
-    return _Parser(text).parse()
-
-
-def eval_poly(node, vars: Sequence[str]) -> MultiPoly:
-    """Evaluate an AST into a polynomial over the given variable roster."""
-    vars = tuple(vars)
-    kind = node[0]
-    if kind == "num":
-        return MultiPoly.constant(vars, node[1])
-    if kind == "zeta":
-        return MultiPoly.constant(vars, CycloNumber.zeta(node[1]))
-    if kind == "var":
-        name, pos = node[1], node[2]
-        if name not in vars:
-            raise ParseError(f"unknown variable {name!r}", pos)
-        return MultiPoly.variable(vars, name)
-    if kind == "neg":
-        return -eval_poly(node[1], vars)
-    if kind == "pow":
-        base = eval_poly(node[1], vars)
-        k = node[2]
-        if k < 0:
-            if not base.is_constant():
-                raise ParseError("negative power of a non-constant", 0)
-            return MultiPoly.constant(vars, base.constant_value() ** k)
-        return base**k
-    lhs = eval_poly(node[1], vars)
-    rhs = eval_poly(node[2], vars)
-    if kind == "+":
-        return lhs + rhs
-    if kind == "-":
-        return lhs - rhs
-    if kind == "*":
-        return lhs * rhs
-    if kind == "/":
-        if not rhs.is_constant():
-            raise ParseError("division by a non-constant polynomial", 0)
-        c = rhs.constant_value()
-        if c.is_zero():
-            raise ParseError("division by zero", 0)
-        return lhs.scale(c.inverse())
-    raise AssertionError(f"unhandled node {kind}")
-
-
-def eval_ratfunc(node, var: str = "x") -> RatFunc:
-    """Evaluate an AST into a univariate rational function."""
-    kind = node[0]
-    if kind == "num":
-        return RatFunc.coerce(node[1], var)
-    if kind == "zeta":
-        return RatFunc.coerce(CycloNumber.zeta(node[1]), var)
-    if kind == "var":
-        name, pos = node[1], node[2]
-        if name != var:
-            raise ParseError(f"unknown variable {name!r} (expected {var!r})", pos)
-        return RatFunc.x(var)
-    if kind == "neg":
-        return -eval_ratfunc(node[1], var)
-    if kind == "pow":
-        base = eval_ratfunc(node[1], var)
-        k = node[2]
-        if k < 0:
-            base, k = base.inverse(), -k
-        return _power(base, k, RatFunc.coerce(1, var))
-    lhs = eval_ratfunc(node[1], var)
-    rhs = eval_ratfunc(node[2], var)
-    if kind == "+":
-        return lhs + rhs
-    if kind == "-":
-        return lhs - rhs
-    if kind == "*":
-        return lhs * rhs
-    if kind == "/":
-        return lhs / rhs
-    raise AssertionError(f"unhandled node {kind}")
 
 
 def parse_expression(text: str, vars: Sequence[str]) -> MultiPoly:
     """Parse text into an exact polynomial over the given roster."""
-    return eval_poly(parse_ast(text), vars)
+    parser = _Parser(text, _Polys(vars))
+    return parser.parse(parser.expr)
 
 
 def parse_ratfunc(text: str, var: str = "x") -> RatFunc:
-    return eval_ratfunc(parse_ast(text), var)
+    parser = _Parser(text, _RatFuncs(var))
+    return parser.parse(parser.expr)
 
 
 def parse_constant(text: str) -> CycloNumber:
@@ -241,29 +239,7 @@ def parse_constant(text: str) -> CycloNumber:
     return p.constant_value()
 
 
-def parse_tuple(text: str, vars: Sequence[str]) -> tuple[MultiPoly, ...]:
-    """Parse "(e1 : e2 : ... )" into component polynomials."""
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError("expected parenthesized component tuple", 0)
-    inner = text[1:-1]
-    parts = _split_top(inner, ":")
-    return tuple(parse_expression(p, vars) for p in parts)
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+def parse_tuples(text: str, vars: Sequence[str]) -> list[tuple[MultiPoly, ...]]:
+    """Parse "(e : e : ...)" tuples joined by the name x, one tuple per factor."""
+    parser = _Parser(text, _Polys(vars))
+    return parser.parse(parser.tuples)

@@ -158,6 +158,24 @@ def test_corpus_format_error_exit_code(tmp_path, capsys):
         assert "component tuples" in capsys.readouterr().err
 
 
+def test_zero_divisors_are_parse_errors(tmp_path, capsys):
+    cases = {
+        ("order", "(0^-1*x : y : z)"): 2,
+        ("order", "(x : y : (1-1)^-2*z)"): 14,
+        ("jonq", "--element", "1/0, 0, 0, 1"): 1,
+        ("jonq", "--element", "0^-1, 0, 0, 1"): 1,
+        ("jonq", "--element", "x/(x-x), 1, 1, 1"): 1,
+    }
+    for argv, offset in cases.items():
+        assert main(list(argv)) == 2, argv
+        assert capsys.readouterr().err == f"parse error: division by zero at offset {offset}\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("z | P2 | F = x^3 + 0^-1*y^3 + z^3 | gen = (x : y : z) | gen_orders = 1 "
+                   "| group = 1 | structure = 1\n")
+    assert main(["corpus", "--file", str(bad)]) == 2
+    assert capsys.readouterr().err == "corpus error: line 1 (z): division by zero at offset 7\n"
+
+
 def test_bad_caps_and_matrices_are_usage_errors(capsys):
     for argv in (("--order-cap", "0"), ("--degree-cap", "-1"), ("--order-cap", "x")):
         assert main(["order", *argv, "(x : y : z)"]) == 2
