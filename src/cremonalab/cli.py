@@ -123,9 +123,7 @@ def cmd_weyl(args) -> int:
 
 
 def _parse_map(text: str, ambient_name: str):
-    amb = corpus_mod.AMBIENTS.get(ambient_name)
-    if amb is None:
-        raise ParseError(f"unknown ambient {ambient_name!r}", 0)
+    amb = corpus_mod.AMBIENTS[ambient_name]
     return corpus_mod._parse_component_tuples(text, amb), amb
 
 
@@ -152,21 +150,28 @@ def cmd_order(args) -> int:
 
 
 def _parse_jonq(text: str) -> JonqElement:
-    parts = text.split(";")
-    if len(parts) not in (1, 2):
-        raise ParseError("expected '<4 A entries> [; <4 beta entries>]'", 0)
-    a_entries = [parse_ratfunc(t) for t in parts[0].split(",")]
-    if len(a_entries) != 4:
-        raise ParseError("A needs exactly 4 comma-separated entries", 0)
-    beta = None
-    if len(parts) == 2:
-        b_entries = [parse_ratfunc(t) for t in parts[1].split(",")]
-        if len(b_entries) != 4 or any(not e.is_constant() for e in b_entries):
-            raise ParseError("beta needs 4 constant entries", 0)
-        bc = [e.constant_value() for e in b_entries]
-        beta = ((bc[0], bc[1]), (bc[2], bc[3]))
-    a = ((a_entries[0], a_entries[1]), (a_entries[2], a_entries[3]))
-    return JonqElement(a, beta)
+    parts, at = [], 0  # per part: each entry without leading blanks, at its offset
+    for part in text.split(";"):
+        parts.append([])
+        for entry in part.split(","):
+            parts[-1].append((at + len(entry) - len(entry.lstrip()), entry.lstrip()))
+            at += len(entry) + 1
+    if len(parts) > 2:
+        raise ParseError("expected '<4 A entries> [; <4 beta entries>]'", parts[2][0][0])
+    matrices = []
+    for name, entries in zip(("A", "beta"), parts):
+        if len(entries) != 4:
+            at = entries[4][0] if len(entries) > 4 else entries[-1][0] + len(entries[-1][1])
+            raise ParseError(f"{name} needs exactly 4 comma-separated entries", at)
+        # blanks for the text in front keep the parser's offsets in the text as written
+        m = [parse_ratfunc(" " * at + entry) for at, entry in entries]
+        if name == "beta":
+            for (at, _), e in zip(entries, m):
+                if not e.is_constant():
+                    raise ParseError("beta needs 4 constant entries", at)
+            m = [e.constant_value() for e in m]
+        matrices.append(((m[0], m[1]), (m[2], m[3])))
+    return JonqElement(*matrices)
 
 
 def cmd_jonq(args) -> int:

@@ -1,8 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are residues modulo the N-th cyclotomic polynomial, with rational
-coefficients.  Mixed-conductor arithmetic promotes both operands to the lcm
-of their conductors, so any finite computation lives in a single field.
+Elements are residues modulo the N-th cyclotomic polynomial Phi_N, stored
+as integer numerators over one positive denominator (Cohen, A Course in
+Computational Algebraic Number Theory, 4.2), so products reduce by the monic
+Phi_N in integers.  Mixed-conductor arithmetic promotes both operands to the
+lcm of their conductors, so any finite computation lives in a single field.
 
 The one product and the one long division on dense ascending coefficient
 lists, `_poly_mul` and `_divmod`, live here; `poly` and `weyl` use them too.
@@ -99,38 +101,62 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 Scalar = Union[int, Fraction, "CycloNumber"]
 
 
+def _of(n: int, num: Iterable[int], den: int = 1) -> "CycloNumber":
+    """sum(num[k] * zeta_n^k) / den for phi(n) ints num and an int den != 0;
+    unchecked, but for dividing out gcd(den, *num) with the sign of den."""
+    num = tuple(num)
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num, den = tuple(c // g for c in num), den // g
+    x = object.__new__(CycloNumber)
+    x.n, x.num, x.den = n, num, den
+    return x
+
+
+def _reduce(num: Iterable[int], n: int, den: int = 1) -> "CycloNumber":
+    """sum(num[k] * zeta_n^k) / den for ints num, reduced modulo the monic Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    rem = _divmod(num, phi)[1]
+    return _of(n, rem + [0] * (len(phi) - 1 - len(rem)), den)
+
+
 def cyclo_reduce(coeffs: Iterable[Union[int, Fraction]], n: int) -> "CycloNumber":
     """Residue of sum(coeffs[k] * zeta_n^k) modulo Phi_n, canonical form."""
-    phi = cyclotomic_polynomial(n)
-    rem = _divmod(coeffs, phi)[1]
-    return CycloNumber(n, rem + [0] * (len(phi) - 1 - len(rem)))
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(1, *(c.denominator for c in cs))
+    return _reduce([c.numerator * (den // c.denominator) for c in cs], n, den)
 
 
 class CycloNumber:
-    """An element of Q(zeta_n), stored as a coefficient vector mod Phi_n."""
+    """The element sum(num[k] * zeta_n^k) / den of Q(zeta_n), k < phi(n), for
+    ints num and den > 0 with gcd(den, *num) = 1: one value, one (num, den)."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, coeffs: Iterable[Fraction]):
-        self.n = n
-        cs = tuple(Fraction(c) for c in coeffs)
-        deg = euler_phi(n)
-        if len(cs) != deg:
+    def __init__(self, n: int, coeffs: Iterable[Union[int, Fraction]]):
+        coeffs, deg = tuple(coeffs), euler_phi(n)
+        if len(coeffs) != deg:
             raise ValueError(f"expected {deg} coefficients for conductor {n}")
-        self.coeffs = cs
+        x = cyclo_reduce(coeffs, n)
+        self.n, self.num, self.den = n, x.num, x.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in the power basis of zeta_n, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_rational(q: Union[int, Fraction]) -> "CycloNumber":
-        return CycloNumber(1, (Fraction(q),))
+        return _of(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycloNumber":
         """zeta_n^k as an element of Q(zeta_n)."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        return cyclo_reduce([0] * (k % n) + [1], n)
+        return _reduce([0] * (k % n) + [1], n)
 
     @staticmethod
     def coerce(value: Scalar) -> "CycloNumber":
@@ -149,9 +175,9 @@ class CycloNumber:
         if n % self.n != 0:
             raise ValueError(f"cannot promote conductor {self.n} into {n}")
         step = n // self.n
-        raw = [0] * ((len(self.coeffs) - 1) * step + 1)
-        raw[::step] = self.coeffs
-        return cyclo_reduce(raw, n)
+        raw = [0] * ((len(self.num) - 1) * step + 1)
+        raw[::step] = self.num
+        return _reduce(raw, n, self.den)
 
     @staticmethod
     def _common(a: "CycloNumber", b: "CycloNumber") -> tuple["CycloNumber", "CycloNumber"]:
@@ -161,18 +187,18 @@ class CycloNumber:
     # -- ring/field operations -----------------------------------------
 
     def __add__(self, other: Scalar) -> "CycloNumber":
-        if not isinstance(other, (int, Fraction, CycloNumber)):
+        if not isinstance(other, (CycloNumber, int, Fraction)):
             return NotImplemented
         a, b = CycloNumber._common(self, CycloNumber.coerce(other))
-        return CycloNumber(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _of(a.n, [x * b.den + y * a.den for x, y in zip(a.num, b.num)], a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycloNumber":
-        return CycloNumber(self.n, tuple(-c for c in self.coeffs))
+        return _of(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other: Scalar) -> "CycloNumber":
-        if not isinstance(other, (int, Fraction, CycloNumber)):
+        if not isinstance(other, (CycloNumber, int, Fraction)):
             return NotImplemented
         return self + (-CycloNumber.coerce(other))
 
@@ -180,21 +206,27 @@ class CycloNumber:
         return CycloNumber.coerce(other) - self
 
     def __mul__(self, other: Scalar) -> "CycloNumber":
-        if not isinstance(other, (int, Fraction, CycloNumber)):
+        if not isinstance(other, (CycloNumber, int, Fraction)):
             return NotImplemented
-        a, b = CycloNumber._common(self, CycloNumber.coerce(other))
-        return cyclo_reduce(_poly_mul(a.coeffs, b.coeffs), a.n)
+        a, b = self, CycloNumber.coerce(other)
+        if a.n == 1 or b.n == 1:  # a rational factor scales the other's numerators
+            q, b = (a, b) if a.n == 1 else (b, a)
+            return _of(b.n, [q.num[0] * c for c in b.num], q.den * b.den)
+        a, b = CycloNumber._common(a, b)
+        return _reduce(_poly_mul(a.num, b.num), a.n, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # Extended Euclid against Phi_n in Q[t], all in Fraction: s_k * self
-        # = r_k mod Phi_n.  Phi_n is irreducible over Q, so the remainders
-        # never vanish and the last one is a nonzero constant.
-        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.n)], list(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
+        if self.n == 1:
+            return _of(1, (self.den,), self.num[0])
+        # Extended Euclid against Phi_n in Q[t], all in Fraction, from r_1 = num
+        # and s_1 = den: s_k * self = r_k mod Phi_n.  Phi_n is irreducible over
+        # Q, so the remainders never vanish and the last one is a nonzero constant.
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.n)], list(map(Fraction, self.num))
+        s0, s1 = [], [Fraction(self.den)]
         while True:
             while not r1[-1]:
                 r1.pop()
@@ -214,30 +246,30 @@ class CycloNumber:
     def __pow__(self, k: int) -> "CycloNumber":
         if k < 0:
             return self.inverse() ** (-k)
-        return _power(self, k, CycloNumber.from_rational(1))
+        return _power(self, k, _of(1, (1,)))
 
     # -- predicates and canonical form ----------------------------------
 
     def __bool__(self) -> bool:
         """True for a nonzero element, as for int and Fraction."""
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.num[0] == self.den == 1 and not any(self.num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other)
         if not isinstance(other, CycloNumber):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycloNumber.from_rational(other)
         a, b = CycloNumber._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self) -> int:
         d = self.deflate()
@@ -247,19 +279,13 @@ class CycloNumber:
 
     def deflate(self) -> "CycloNumber":
         """Rewrite over the smallest Q(zeta_m) with m | n containing self."""
-        cur = self
-        if cur.is_rational():
-            return CycloNumber(1, (cur.coeffs[0],))
-        changed = True
-        while changed:
-            changed = False
-            for p in prime_factors(cur.n):
-                m = cur.n // p
-                down = _try_descend(cur, m)
-                if down is not None:
-                    cur = down
-                    changed = True
-                    break
+        if self.is_rational():
+            return _of(1, self.num[:1], self.den)
+        cur = down = self
+        while down is not None:
+            cur = down
+            down = next((d for p in prime_factors(cur.n)
+                         if (d := _try_descend(cur, cur.n // p)) is not None), None)
         return cur
 
     def __repr__(self) -> str:
@@ -390,17 +416,26 @@ def _solve(aug: Sequence[Sequence], width: int, zero) -> Optional[list]:
 
 
 @lru_cache(maxsize=None)
-def _embedding_matrix(n: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    # Columns: coordinates of zeta_n^(j*n/m) in the power basis of Q(zeta_n).
-    return tuple(CycloNumber.zeta(n, j * (n // m)).coeffs for j in range(euler_phi(m)))
+def _descent(n: int, m: int) -> tuple[tuple, int, tuple]:
+    """(L, d, K) for Q(zeta_m) in Q(zeta_n): x, in the power basis of zeta_n,
+    lies in Q(zeta_m) iff K x = 0, and L x / d are then its coordinates.  One
+    elimination of [E | I], E's columns being zeta_n^(j*n/m) for j < phi(m), of
+    full rank: its phi(m) pivot rows give L, the others K, as sparse int rows."""
+    k, size = euler_phi(m), euler_phi(n)
+    cols = [CycloNumber.zeta(n, j * (n // m)).num for j in range(k)]
+    rows = _row_reduce([[Fraction(c[i]) for c in cols] + [Fraction(int(i == j)) for j in range(size)]
+                        for i in range(size)], k)[0]
+    d = lcm(*(v.denominator for row in rows for v in row[k:]))
+    rows = [tuple((i, int(v * d)) for i, v in enumerate(row[k:]) if v) for row in rows]
+    return tuple(rows[:k]), d, tuple(rows[k:])
 
 
 def _try_descend(x: CycloNumber, m: int) -> Optional[CycloNumber]:
-    """Solve for coordinates of x in Q(zeta_m) inside Q(zeta_n); None if absent."""
-    cols = _embedding_matrix(x.n, m)
-    aug = [[col[i] for col in cols] + [xi] for i, xi in enumerate(x.coeffs)]
-    y = _solve(aug, len(cols), Fraction(0))
-    return None if y is None else CycloNumber(m, y)
+    """x as an element of Q(zeta_m), m | x.n; None if it does not lie there."""
+    L, d, K = _descent(x.n, m)
+    if any(sum(v * x.num[i] for i, v in row) for row in K):
+        return None
+    return _of(m, [sum(v * x.num[i] for i, v in row) for row in L], x.den * d)
 
 
 class SquareTest:

@@ -397,9 +397,8 @@ def _coprime_mod_p(polys: list[MultiPoly]) -> bool:
     n = lcm(1, *(c.n for f in polys for c in f.terms.values()))
     p, r = _prime_root(n)
     try:  # zeta_m = zeta_N^(N/m) -> r^(N/m)
-        images = [{e: sum(q.numerator * pow(q.denominator, -1, p) * pow(r, n // c.n * k, p)
-                          for k, q in enumerate(c.coeffs)) for e, c in f.terms.items()}
-                  for f in polys]
+        images = [{e: pow(c.den, -1, p) * sum(a * pow(r, n // c.n * k, p) for k, a in enumerate(c.num))
+                   for e, c in f.terms.items()} for f in polys]
     except ValueError:  # p divides a denominator
         return False
     for v in {i for img in images for e in img for i, k in enumerate(e) if k}:

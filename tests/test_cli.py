@@ -96,8 +96,18 @@ def test_jonq_with_base(capsys):
 
 
 def test_jonq_bad_input(capsys):
-    code, _ = run(capsys, "jonq", "--element", "1, 2, 3")
-    assert code == 2
+    # Each shape error points into the --element text as written.
+    cases = {
+        "1, 2, 3": "A needs exactly 4 comma-separated entries at offset 7",
+        "1, 0, 0, 1, 5": "A needs exactly 4 comma-separated entries at offset 12",
+        "1, 0, 0, 1; 1, 0": "beta needs exactly 4 comma-separated entries at offset 16",
+        "1, 0, 0, 1; x, 0, 0, 1": "beta needs 4 constant entries at offset 12",
+        "1, 0, 0, 1; 1, 0, 0, 1; 2": "expected '<4 A entries> [; <4 beta entries>]' at offset 24",
+        "1, 0, 0, q": "unknown variable 'q' (expected 'x') at offset 9",
+    }
+    for element, message in cases.items():
+        assert main(["jonq", "--element", element]) == 2, element
+        assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 def test_corpus_json_deterministic(capsys):
@@ -165,6 +175,7 @@ def test_zero_divisors_are_parse_errors(tmp_path, capsys):
         ("jonq", "--element", "1/0, 0, 0, 1"): 1,
         ("jonq", "--element", "0^-1, 0, 0, 1"): 1,
         ("jonq", "--element", "x/(x-x), 1, 1, 1"): 1,
+        ("jonq", "--element", "1, 0, 0, 1/0"): 10,
     }
     for argv, offset in cases.items():
         assert main(list(argv)) == 2, argv

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,8 +8,10 @@ from cremonalab.cyclo import (
     CycloNumber,
     _row_reduce,
     _solve,
+    _try_descend,
     cyclo_reduce,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     is_square_constant,
 )
@@ -89,6 +92,56 @@ def test_deflation():
     a = CycloNumber.zeta(12) ** 4  # = zeta3
     assert a.deflate() == CycloNumber.zeta(3)
     assert hash(a) == hash(CycloNumber.zeta(3))
+
+
+def _triple(x):
+    return x.n, x.num, x.den
+
+
+def test_canonical_form():
+    # den > 0 and gcd(den, *num) = 1 whatever the route, so one value has one
+    # (n, num, den) at each conductor.
+    rng = random.Random(1811)
+    for n in (1, 3, 4, 5, 8, 12):
+        for _ in range(30):
+            a, b = _random_element(rng, n, den=6), _random_element(rng, n, den=6)
+            c = a * 4 - b / 3
+            if b:
+                assert _triple(a * b / b) == _triple(a)
+            for x in (a, b, c, -c, a + b, a * b, c * Fraction(6, 5)):
+                assert x.den > 0 and gcd(x.den, *x.num) == 1, _triple(x)
+            big = a.promote(4 * n)
+            assert _triple(big.deflate()) == _triple(a.deflate())
+            assert _triple(big.promote(12 * n)) == _triple(a.promote(12 * n))
+    for n in (2, 3, 6, 7, 8, 12):
+        assert _triple(CycloNumber.zeta(n) ** n) == _triple(CycloNumber.from_rational(1).promote(n))
+        assert _triple((CycloNumber.zeta(n) ** n).deflate()) == (1, (1,), 1)
+    assert _triple(CycloNumber(3, (Fraction(2, 4), Fraction(-3, 6)))) == (3, (1, -1), 2)
+    assert _triple(CycloNumber(4, (0, 0))) == (4, (0, 0), 1)
+
+
+def test_descent_matches_a_solve_of_the_embedding():
+    # _try_descend reads the cached projection (L, d, K); the reference solves
+    # E y = x for the columns E of zeta_n^(j*n/m), j < phi(m), on every call.
+    rng = random.Random(3607)
+    for n in (4, 8, 9, 12, 15, 16, 20, 21, 24, 36):
+        for m in divisors(n)[:-1]:
+            cols = [CycloNumber.zeta(n, j * (n // m)).coeffs for j in range(euler_phi(m))]
+            seen = set()
+            for k in range(12):
+                x = _random_element(rng, m, den=5).promote(n)
+                if k % 3 == 1:
+                    x = x + _random_element(rng, n)
+                elif k % 3 == 2:
+                    x = x + CycloNumber.zeta(n) * Fraction(1, 7)
+                aug = [[col[i] for col in cols] + [xi] for i, xi in enumerate(x.coeffs)]
+                y = _solve(aug, len(cols), Fraction(0))
+                got = _try_descend(x, m)
+                assert (got is None) == (y is None), (n, m, x)
+                if y is not None:
+                    assert _triple(got) == _triple(CycloNumber(m, y))
+                seen.add(y is None)
+            assert seen == {True, False}, (n, m)
 
 
 def test_square_constants_rational():
