@@ -178,13 +178,13 @@ class RowReport:
         self.checks.append(Check(label, passed, detail))
 
 
-def verify_row(row: CorpusRow, closure_cap: int = 128) -> RowReport:
+def verify_row(row: CorpusRow) -> RowReport:
     rep = RowReport(row.name)
     gens, order_cap = row.generators, max(row.gen_orders) * 2 + 2
-    # Orders and commutation are read off the closure; without one they are
-    # computed from the generators.
+    # Orders and commutation are read off the closure, which stops past the
+    # claimed group order; without one they are computed from the generators.
     try:
-        closure = group_closure(gens, cap=closure_cap)
+        closure = group_closure(gens, cap=row.group_order)
     except (ClosureOverflow, BasePointError) as e:
         closure, failure = None, str(e)
     for k, g in enumerate(gens):

@@ -273,7 +273,7 @@ class CycloNumber:
 
     def __hash__(self) -> int:
         d = self.deflate()
-        return hash((d.n, d.coeffs))
+        return hash((d.n, d.num, d.den))
 
     # -- deflation to the minimal conductor ------------------------------
 

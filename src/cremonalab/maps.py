@@ -170,7 +170,7 @@ class ProjMap:
             items = []
             for expo, c in comp.sorted_terms():
                 d = c.deflate()
-                items.append((expo, d.n, d.coeffs))
+                items.append((expo, d.n, d.num, d.den))
             out.append(tuple(items))
         return tuple(out)
 

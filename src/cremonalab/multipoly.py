@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials over Q(zeta_N).
 
-Terms map exponent tuples to nonzero coefficients.  The monomial order used
+Terms map exponent tuples to nonzero coefficients: sums, products,
+substitution and exact division all add into a term dict through one
+kernel, `_add_into`, which drops entries that cancel.  The monomial order used
 for leading terms and canonical scaling is lexicographic on exponent tuples,
 which is stable across runs.  The gcd is a primitive pseudo-remainder
 sequence in a main variable of least degree, recursing on the contents;
@@ -35,14 +37,7 @@ class MultiPoly:
             expo = tuple(expo)
             if len(expo) != len(self.vars):
                 raise ValueError("exponent arity does not match variable roster")
-            if expo in clean:
-                s = clean[expo] + c
-                if s.is_zero():
-                    del clean[expo]
-                else:
-                    clean[expo] = s
-            else:
-                clean[expo] = c
+            clean[expo] = c
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
@@ -61,10 +56,6 @@ class MultiPoly:
         expo = [0] * len(vars)
         expo[idx] = 1
         return MultiPoly(vars, {tuple(expo): 1})
-
-    @staticmethod
-    def monomial(vars: Sequence[str], expo: Sequence[int], c: Coeffish = 1) -> "MultiPoly":
-        return MultiPoly(vars, {tuple(expo): c})
 
     # -- structure ---------------------------------------------------------
 
@@ -128,17 +119,7 @@ class MultiPoly:
 
     def __add__(self, other: Union[Coeffish, "MultiPoly"]) -> "MultiPoly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            if expo in out:
-                s = out[expo] + c
-                if s.is_zero():
-                    del out[expo]
-                else:
-                    out[expo] = s
-            else:
-                out[expo] = c
-        return _from_terms(self.vars, out)
+        return _from_terms(self.vars, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -154,18 +135,8 @@ class MultiPoly:
     def __mul__(self, other: Union[Coeffish, "MultiPoly"]) -> "MultiPoly":
         other = self._coerce(other)
         out: dict[tuple[int, ...], CycloNumber] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if expo in out:
-                    s = out[expo] + c
-                    if s.is_zero():
-                        del out[expo]
-                    else:
-                        out[expo] = s
-                else:
-                    out[expo] = c
+        for e, c in self.terms.items():
+            _add_into(out, other.terms, c, e)
         return _from_terms(self.vars, out)
 
     __rmul__ = __mul__
@@ -188,9 +159,8 @@ class MultiPoly:
         target_vars = next(iter(images.values())).vars if images else self.vars
         if any(img.vars != target_vars for img in images.values()):
             raise ValueError("images over different variable rosters")
-        # Power tables, one per substituted variable.
-        powers = {name: [MultiPoly.constant(target_vars, 1), images[name]]
-                  for name in self.vars if name in images}
+        # Power tables, one per substituted variable: table[e - 1] is image^e.
+        powers = {name: [images[name]] for name in self.vars if name in images}
         one = {(0,) * len(target_vars): CycloNumber.from_rational(1)}
         out: dict[tuple[int, ...], CycloNumber] = {}
         for expo, c in self.terms.items():
@@ -201,22 +171,15 @@ class MultiPoly:
                 name = self.vars[i]
                 if name in images:
                     table = powers[name]
-                    while len(table) <= e:
+                    while len(table) < e:
                         table.append(table[-1] * images[name])
-                    factor = table[e]
+                    factor = table[e - 1]
                 else:
                     if name not in target_vars:
                         raise ValueError(f"no image for variable {name}")
                     factor = MultiPoly.variable(target_vars, name) ** e
                 term = factor if term is None else term * factor
-            # out += c * term, in place
-            for m, v in (one if term is None else term.terms).items():
-                acc = out.get(m)
-                acc = v * c if acc is None else acc + v * c
-                if acc.is_zero():
-                    del out[m]
-                else:
-                    out[m] = acc
+            _add_into(out, one if term is None else term.terms, c)
         return _from_terms(target_vars, out)
 
     def evaluate(self, values: Mapping[str, Coeffish]) -> CycloNumber:
@@ -251,15 +214,7 @@ class MultiPoly:
             if lc_inv is None:
                 lc_inv = other.terms[lt].inverse()
             c = quo[diff] = rem[rm] * lc_inv
-            # rem -= c * x^diff * other, in place; the term at rm cancels
-            for e, oc in other.terms.items():
-                expo = tuple(a + b for a, b in zip(diff, e))
-                v = rem.get(expo)
-                v = -(c * oc) if v is None else v - c * oc
-                if v.is_zero():
-                    del rem[expo]
-                else:
-                    rem[expo] = v
+            _add_into(rem, other.terms, -c, diff)  # the term at rm cancels
         return _from_terms(self.vars, quo)
 
     def divides(self, other: "MultiPoly") -> bool:
@@ -301,6 +256,24 @@ def _from_terms(vars: tuple[str, ...], terms: dict) -> MultiPoly:
     p.vars = vars
     p.terms = terms
     return p
+
+
+def _add_into(out: dict, terms: Mapping[tuple[int, ...], CycloNumber],
+              c: Optional[CycloNumber] = None, shift: Optional[tuple[int, ...]] = None) -> dict:
+    """out += c * x^shift * terms, in place; an entry that cancels is dropped."""
+    for e, v in terms.items():
+        if shift is not None:
+            e = tuple(a + b for a, b in zip(shift, e))
+        if c is not None:
+            v = c * v
+        acc = out.get(e)
+        if acc is None:
+            out[e] = v
+        elif (acc := acc + v).is_zero():
+            del out[e]
+        else:
+            out[e] = acc
+    return out
 
 
 def multi_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:

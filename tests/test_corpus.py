@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import signal
+from importlib import resources
 
 import pytest
 
@@ -194,17 +195,17 @@ def test_noncommuting_pair_fails_its_row():
 
 
 def test_closure_overflow_is_a_failed_group_order():
-    # Without a closure, orders and commutation are computed from the
-    # generators, with the same checks and details.
+    # The closure stops past the claimed group order.  Without a closure,
+    # orders and commutation are computed from the generators, with the same
+    # checks and details.
     rows = parse_corpus(
-        "big | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 8 | group = 8 | structure = 8\n"
-        "over | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 2 | group = 8 | structure = 8\n"
-        "s3 | P2 | gen = (y : x : z) | gen = (x : z : y) | gen_orders = 2,3 | group = 6 "
+        "big | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 8 | group = 4 | structure = 8\n"
+        "over | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 2 | group = 4 | structure = 8\n"
+        "s3 | P2 | gen = (y : x : z) | gen = (x : z : y) | gen_orders = 2,3 | group = 4 "
         "| structure = 6"
     )
     overflow = ("group order", False, "group closure exceeded 4 elements")
-    checks = [[(c.label, c.passed, c.detail) for c in verify_row(row, closure_cap=4).checks]
-              for row in rows]
+    checks = [[(c.label, c.passed, c.detail) for c in verify_row(row).checks] for row in rows]
     assert checks == [
         [("gen1 order", True, "computed 8"), overflow],
         [("gen1 order", False, "computed OverCap"), overflow],
@@ -213,26 +214,46 @@ def test_closure_overflow_is_a_failed_group_order():
     ]
 
 
-def test_runaway_degree_is_a_failed_group_order():
-    # g^k has degree 2^k, so only the closure's degree bound ends this row;
-    # a repeating timer fails the test rather than let it hang
-    row = parse_corpus(
-        "h | P2 | gen = (x*y : y^2 : z^2) | gen_orders = 2 | group = 2 | structure = 2"
-    )[0]
+def _checks_within(row, seconds):
+    """(label, passed, detail) of each check of row; a repeating timer fails
+    the test rather than let a runaway row hang it."""
 
     def over_budget(signum, frame):
-        raise TimeoutError("row h took over 1 s")
+        raise TimeoutError(f"row {row.name} took over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, over_budget)
-    signal.setitimer(signal.ITIMER_REAL, 1.0, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds, seconds)
     try:
-        checks = [(c.label, c.passed, c.detail) for c in verify_row(row).checks]
+        return [(c.label, c.passed, c.detail) for c in verify_row(row).checks]
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert checks == [
-        ("gen1 order", False, "computed OverCap"),
-        ("group order", False, "group closure element of degree over 64"),
+
+
+def test_runaway_degree_is_a_failed_group_order():
+    # g^k has degree 2^k.  Claiming 2 elements, the closure stops at its
+    # third; claiming 8, only the closure's degree bound ends the row, at g^7.
+    rows = parse_corpus(
+        "h | P2 | gen = (x*y : y^2 : z^2) | gen_orders = 2 | group = 2 | structure = 2\n"
+        "h8 | P2 | gen = (x*y : y^2 : z^2) | gen_orders = 2 | group = 8 | structure = 8"
+    )
+    assert [_checks_within(row, 1.0) for row in rows] == [
+        [("gen1 order", False, "computed OverCap"),
+         ("group order", False, "group closure exceeded 2 elements")],
+        [("gen1 order", False, "computed OverCap"),
+         ("group order", False, "group closure element of degree over 64")],
+    ]
+
+
+def test_closure_stops_past_the_claimed_order():
+    # One character of C.22,22 breaks the commutation of gen2 and gen4; the
+    # closure stops at its 17th element, past the 16 the row claims.
+    text = resources.files("cremonalab.data").joinpath("corpus.txt").read_text()
+    line = next(t for t in text.splitlines() if t.startswith("C.22,22 "))
+    row = parse_corpus(line.replace("(x2 : x1) x (y1 : y2)", "(x2 : x1) x (y1 :-y2)"))[0]
+    assert [c for c in _checks_within(row, 1.0) if not c[1]] == [
+        ("gen2,gen4 commute", False, "gen2*gen4 != gen4*gen2"),
+        ("group order", False, "group closure exceeded 16 elements"),
     ]
 
 

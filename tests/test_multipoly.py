@@ -41,10 +41,8 @@ def test_substitution():
     assert h == z**2 + x * y
 
 
-def test_substitution_matches_sympy():
-    # Seeded polys over Q and Q(zeta_3) with constant terms, a variable left
-    # without an image, and images whose terms cancel, against sympy.
-    sympy = pytest.importorskip("sympy")
+def _to_sympy(sympy, p):
+    """p as a sympy expression in VARS, reading zeta_3 as (sqrt(-3) - 1)/2."""
     zeta3 = (sympy.sqrt(-3) - 1) / 2
     syms = sympy.symbols(VARS)
 
@@ -52,38 +50,75 @@ def test_substitution_matches_sympy():
         a, b = (sympy.Rational(q.numerator, q.denominator) for q in c.promote(3).coeffs)
         return a + b * zeta3
 
-    def sp(p):
-        return sum(number(c) * sympy.Mul(*(v**k for v, k in zip(syms, e)))
-                   for e, c in p.terms.items())
+    return sum(number(c) * sympy.Mul(*(v**k for v, k in zip(syms, e)))
+               for e, c in p.terms.items())
 
-    def random_poly(rng, n, most):
-        terms = {}
-        for _ in range(rng.randint(1, most)):
-            e = tuple(rng.randint(0, 2) for _ in VARS)
-            terms[e] = rng.choice([1, -1, 2, Fraction(-3, 2)])
-            if n > 1:
-                terms[e] += rng.choice([0, 1, -2]) * CycloNumber.zeta(n)
-        return MultiPoly(VARS, terms)
 
+def _random_poly(rng, n, most):
+    """A nonzero poly in VARS over Q(zeta_n), n = 1 or 3, of at most `most` terms."""
+    terms = {}
+    for _ in range(rng.randint(1, most)):
+        e = tuple(rng.randint(0, 2) for _ in VARS)
+        terms[e] = rng.choice([1, -1, 2, Fraction(-3, 2)])
+        if n > 1:
+            terms[e] += rng.choice([0, 1, -2]) * CycloNumber.zeta(n)
+    return MultiPoly(VARS, terms)
+
+
+def test_substitution_matches_sympy():
+    # Seeded polys over Q and Q(zeta_3) with constant terms, a variable left
+    # without an image, and images whose terms cancel, against sympy.
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(VARS)
     x, y, z = _vars()
     rng = random.Random(515)
     cases = [((x + y) ** 2 - z**2 + 3, {"x": z - y}),  # all but the constant cancels
              (x * y + x - 5, {"x": y.scale(Fraction(1, 2)), "y": z, "z": x})]
     for trial in range(40):
         n = 3 if trial % 2 else 1
-        images = {v: random_poly(rng, n, 3) for v in VARS if rng.random() < 0.7}
+        images = {v: _random_poly(rng, n, 3) for v in VARS if rng.random() < 0.7}
         if len(images) > 1 and trial % 5 == 0:  # an image that cancels another's terms
             a, b = rng.sample(sorted(images), 2)
-            images[b] = -images[a] + random_poly(rng, n, 1)
-        cases.append((random_poly(rng, n, 5) + rng.choice([0, 2]), images))
+            images[b] = -images[a] + _random_poly(rng, n, 1)
+        cases.append((_random_poly(rng, n, 5) + rng.choice([0, 2]), images))
     zeros = 0
     for p, images in cases:
         got = p.subs(images)
-        want = sympy.expand(sp(p).subs({syms[VARS.index(v)]: sp(q) for v, q in images.items()},
-                                       simultaneous=True))
-        assert sympy.expand(sp(got) - want) == 0, (p, images)
+        want = sympy.expand(_to_sympy(sympy, p).subs(
+            {syms[VARS.index(v)]: _to_sympy(sympy, q) for v, q in images.items()},
+            simultaneous=True))
+        assert sympy.expand(_to_sympy(sympy, got) - want) == 0, (p, images)
         zeros += got.is_constant()
     assert zeros  # the first case cancels down to a constant
+
+
+def test_arithmetic_matches_sympy():
+    # +, -, * and exact_div over Q and Q(zeta_3) against sympy, on inputs
+    # built to cancel: b = r - a, so a + b = r, and (a + r)(a - r) loses its
+    # cross terms.  sympy reads a stored zero as nothing, so every result is
+    # also checked for zero coefficients.
+    sympy = pytest.importorskip("sympy")
+
+    def check(got, want):
+        assert all(not c.is_zero() for c in got.terms.values()), got
+        assert sympy.expand(_to_sympy(sympy, got) - want) == 0, got
+
+    rng = random.Random(626)
+    cancelled = 0
+    for trial in range(30):
+        n = 3 if trial % 2 else 1
+        a, r, q = (_random_poly(rng, n, most) for most in (5, 3, 3))
+        b = r - a
+        A, R = (sympy.expand(_to_sympy(sympy, p)) for p in (a, r))
+        check(a + b, R)
+        check(b - r, -A)
+        check(a - a, 0)
+        check((a + r) * (a - r), A**2 - R**2)
+        check(a * b, A * (R - A))
+        check((b * q).exact_div(q), R - A)
+        check((a * q - r * q).exact_div(q), A - R)
+        cancelled += len((a + b).terms) < len(a.terms) + len(b.terms)
+    assert cancelled == 30
 
 
 def test_exact_division_and_gcd():
