@@ -17,7 +17,7 @@ from . import tables
 from .expr import ParseError, parse_ratfunc
 from .jonq import JonqElement, det_class, is_involution, is_twisting, order_j
 from .lattice import enumerate_conic_classes, enumerate_exceptional
-from .maps import DEGREE_CAP, order_of_map
+from .maps import DEGREE_CAP, BasePointError, order_of_map
 from .weyl import (
     OVER_CAP,
     PicAut,
@@ -134,7 +134,11 @@ def cmd_compose(args) -> int:
     except (ParseError, corpus_mod.CorpusFormatError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    print(repr(f.compose(g)))
+    try:
+        print(repr(f.compose(g)))
+    except BasePointError as e:
+        print(e, file=sys.stderr)
+        return 2
     return 0
 
 
@@ -144,7 +148,11 @@ def cmd_order(args) -> int:
     except (ParseError, corpus_mod.CorpusFormatError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    o = order_of_map(f, order_cap=args.order_cap, degree_cap=args.degree_cap)
+    try:
+        o = order_of_map(f, order_cap=args.order_cap, degree_cap=args.degree_cap)
+    except BasePointError as e:
+        print(e, file=sys.stderr)
+        return 2
     print(o if isinstance(o, int) else "over-cap")
     return 0
 
@@ -212,7 +220,7 @@ def cmd_corpus(args) -> int:
                 rows = corpus_mod.parse_corpus(handle.read())
         else:
             rows = corpus_mod.load_bundled_corpus()
-    except (OSError, corpus_mod.CorpusFormatError) as e:
+    except (OSError, UnicodeDecodeError, corpus_mod.CorpusFormatError) as e:
         print(f"corpus error: {e}", file=sys.stderr)
         return 2
     reports = corpus_mod.run_corpus(rows, jobs=args.jobs)

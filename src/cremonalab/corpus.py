@@ -216,13 +216,20 @@ def verify_row(row: CorpusRow) -> RowReport:
                         lam ** row.gen_orders[k] == CycloNumber.from_rational(1),
                         f"lambda={lam}",
                     )
-        o = closure.order(k, order_cap) if closure else order_of_map(g, order_cap=order_cap)
-        rep.add(f"{label} order", o == row.gen_orders[k], f"computed {o}")
+        # a base point met in the fallback is a failed check, like a wrong claim
+        try:
+            o = closure.order(k, order_cap) if closure else order_of_map(g, order_cap=order_cap)
+            rep.add(f"{label} order", o == row.gen_orders[k], f"computed {o}")
+        except BasePointError as e:
+            rep.add(f"{label} order", False, str(e))
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
-            ok = closure.commute(a, b) if closure else commute(gens[a], gens[b])
-            rep.add(f"gen{a + 1},gen{b + 1} commute", ok,
-                    "" if ok else f"gen{a + 1}*gen{b + 1} != gen{b + 1}*gen{a + 1}")
+            try:
+                ok = closure.commute(a, b) if closure else commute(gens[a], gens[b])
+                detail = "" if ok else f"gen{a + 1}*gen{b + 1} != gen{b + 1}*gen{a + 1}"
+            except BasePointError as e:
+                ok, detail = False, str(e)
+            rep.add(f"gen{a + 1},gen{b + 1} commute", ok, detail)
     if closure is None:
         rep.add("group order", False, failure)
         return rep

@@ -5,7 +5,7 @@ operators + - * / ^ and parentheses; whitespace is ignored.  A map is one
 component tuple "(e : e : ...)" per factor, the tuples joined by the name x.
 The parser evaluates as it reads, into polynomials over a roster (divisors
 and the bases of negative powers must be constant) or into rational
-functions of one variable.  Error offsets count from the start of the text.
+functions of x.  Error offsets count from the start of the text.
 """
 
 from __future__ import annotations
@@ -92,18 +92,15 @@ class _Polys:
 
 
 class _RatFuncs:
-    """Rational functions of one variable."""
-
-    def __init__(self, var: str):
-        self.var = var
+    """Rational functions of x."""
 
     def number(self, c) -> RatFunc:
-        return RatFunc.coerce(c, self.var)
+        return RatFunc.coerce(c)
 
     def variable(self, name: str, pos: int) -> RatFunc:
-        if name != self.var:
-            raise ParseError(f"unknown variable {name!r} (expected {self.var!r})", pos)
-        return RatFunc.x(self.var)
+        if name != "x":
+            raise ParseError(f"unknown variable {name!r} (expected 'x')", pos)
+        return RatFunc.x()
 
     def divide(self, a: RatFunc, b: RatFunc, pos: int) -> RatFunc:
         return a / b
@@ -229,8 +226,9 @@ def parse_expression(text: str, vars: Sequence[str]) -> MultiPoly:
     return parser.parse(parser.expr)
 
 
-def parse_ratfunc(text: str, var: str = "x") -> RatFunc:
-    parser = _Parser(text, _RatFuncs(var))
+def parse_ratfunc(text: str) -> RatFunc:
+    """Parse text into a rational function of x."""
+    parser = _Parser(text, _RatFuncs())
     return parser.parse(parser.expr)
 
 

@@ -38,10 +38,6 @@ PMat2 = tuple[tuple[UniPoly, UniPoly], tuple[UniPoly, UniPoly]]
 CMat2 = tuple[tuple[CycloNumber, CycloNumber], tuple[CycloNumber, CycloNumber]]
 
 
-def _rf(value, var="x") -> RatFunc:
-    return RatFunc.coerce(value, var)
-
-
 def _pivot(m):
     """The last nonzero entry of m in the order m11, m10, m01, m00, so that
     sigma forms ((0,g),(1,0)) and the identity are stored verbatim."""
@@ -91,12 +87,11 @@ def _substitute_base(m: PMat2, beta: CMat2) -> PMat2:
     if beta == ((1, 0), (0, 1)):
         return m
     (p, q), (r, s) = beta
-    top = max((e for row in m for e in row), key=lambda e: e.degree)
-    n, var = top.degree, top.var
-    num, den = UniPoly((q, p), var), UniPoly((s, r), var)
+    n = max(e.degree for row in m for e in row)
+    num, den = UniPoly((q, p)), UniPoly((s, r))
     lifts = [num**i * den ** (n - i) for i in range(n + 1)]
     return tuple(
-        tuple(sum((lift * c for lift, c in zip(lifts, e.coeffs)), UniPoly.zero(var)) for e in row)
+        tuple(sum((lift * c for lift, c in zip(lifts, e.coeffs)), UniPoly.zero()) for e in row)
         for row in m
     )
 
@@ -108,7 +103,7 @@ class JonqElement:
     __slots__ = ("m", "beta")
 
     def __init__(self, a: Sequence[Sequence], beta: Optional[Sequence[Sequence]] = None):
-        entries = [_rf(a[i][j]) for i in range(2) for j in range(2)]
+        entries = [RatFunc.coerce(a[i][j]) for i in range(2) for j in range(2)]
         den = UniPoly.constant(1)
         for f in entries:
             den = den * f.den.exact_div(poly_gcd(den, f.den))
@@ -136,7 +131,7 @@ class JonqElement:
     @staticmethod
     def sigma(g: Union[RatFunc, UniPoly, int]) -> "JonqElement":
         """The involution (x, y) -> (x, g(x)/y)."""
-        g = _rf(g)
+        g = RatFunc.coerce(g)
         if g.is_zero():
             raise ValueError("sigma requires nonzero g")
         return JonqElement(((0, g), (1, 0)))
@@ -272,7 +267,7 @@ class SquareClass:
 
 
 def square_class(f: Union[RatFunc, UniPoly], field_conductor: Optional[int] = None) -> SquareClass:
-    f = _rf(f)
+    f = RatFunc.coerce(f)
     if f.is_zero():
         raise ValueError("square class of zero")
     p = f.num * f.den
@@ -372,10 +367,10 @@ def normalize_involution(e: JonqElement) -> NormalizationRecord:
     # tr(A) = 0, so A^2 = -det(A) I: with A scaled canonically, lam = -det(A)
     # is g of the antidiagonal form.
     lam = -_det(m)
-    sigma = ((_rf(0), lam), (_rf(1), _rf(0)))
+    sigma = ((0, lam), (1, 0))
     x = UniPoly.x()
     for v0, v1 in ((1, 0), (0, 1), (1, 1), (x, 1), (x + 1, 1), (x**2, 1)):
-        v = (_rf(v0), _rf(v1))
+        v = (RatFunc.coerce(v0), RatFunc.coerce(v1))
         w = (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
         detp = v[0] * w[1] - v[1] * w[0]
         if detp.is_zero():
@@ -416,30 +411,23 @@ def build_root_odd(n: int, g: RatFunc) -> OddRootResult:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and positive")
-    g = _rf(g)
+    g = RatFunc.coerce(g)
     if g.is_zero():
         raise ValueError("g must be nonzero")
-    var = g.var if not g.is_constant() else "x"
-    xn = UniPoly.x(var) ** n
+    xn = UniPoly.x() ** n
     g_xn = RatFunc(g.num.compose_poly(xn), g.den.compose_poly(xn))
     g_mxn = RatFunc(g.num.compose_poly(-xn), g.den.compose_poly(-xn))
     big_g = g_xn * g_mxn
     z2n = CycloNumber.zeta(2 * n)
-    squared_form = JonqElement(
-        ((_rf(0, var), big_g), (_rf(1, var), _rf(0, var))),
-        ((z2n**2, 0), (0, 1)),
-    )
-    sigma_target = JonqElement(((_rf(0, var), big_g), (_rf(1, var), _rf(0, var))))
+    squared_form = JonqElement(((0, big_g), (1, 0)), ((z2n**2, 0), (0, 1)))
+    sigma_target = JonqElement.sigma(big_g)
     degenerate = g_xn == g_mxn
     if degenerate:
         final_ok = _power(squared_form, n, JonqElement.identity()) == sigma_target
         if not final_ok:
             raise RuntimeError("closed forms inconsistent in degenerate root")
         return OddRootResult(n, None, squared_form, sigma_target, True, None, final_ok)
-    alpha = JonqElement(
-        ((-g_xn, -big_g), (_rf(1, var), g_xn)),
-        ((z2n, 0), (0, 1)),
-    )
+    alpha = JonqElement(((-g_xn, -big_g), (1, g_xn)), ((z2n, 0), (0, 1)))
     sq = alpha.compose(alpha)
     square_ok = sq == squared_form
     final_ok = _power(sq, n, JonqElement.identity()) == sigma_target
@@ -458,16 +446,10 @@ def fourth_root_example() -> dict[str, JonqElement]:
     sqrt2 = z8 + z8**7
     x = UniPoly.x()
     lead = (x + 1) * ((sqrt2 - 1) - x)  # (x+1)((sqrt2 - 1) - x)
-    alpha = JonqElement(
-        ((RatFunc(lead), RatFunc(x**4 - 1)), (RatFunc.coerce(1), RatFunc(lead))),
-        ((i, 0), (0, 1)),
-    )
+    alpha = JonqElement(((lead, x**4 - 1), (1, lead)), ((i, 0), (0, 1)))
     lead2 = (x + 1) * (x - i) * (-i)
-    alpha2 = JonqElement(
-        ((RatFunc(lead2), RatFunc(x**4 - 1)), (RatFunc.coerce(1), RatFunc(lead2))),
-        ((-CycloNumber.from_rational(1), 0), (0, 1)),
-    )
-    alpha4 = JonqElement.sigma(RatFunc(x**4 - 1))
+    alpha2 = JonqElement(((lead2, x**4 - 1), (1, lead2)), ((-1, 0), (0, 1)))
+    alpha4 = JonqElement.sigma(x**4 - 1)
     return {"alpha": alpha, "alpha2": alpha2, "alpha4": alpha4}
 
 
@@ -508,8 +490,8 @@ def square_class_group(g: RatFunc, h: RatFunc) -> Union[int, str]:
     The classes are taken with algebraically-closed semantics (radical only)
     except that trivially-radical classes fall back to the constant test.
     """
-    g = _rf(g)
-    h = _rf(h)
+    g = RatFunc.coerce(g)
+    h = RatFunc.coerce(h)
     if g.is_zero():
         raise ValueError("g must be nonzero")
     d1 = -g

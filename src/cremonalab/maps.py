@@ -74,7 +74,8 @@ class Ambient:
 
 
 class BasePointError(ValueError):
-    """Raised when evaluation or composition collapses a whole block."""
+    """Raised when evaluation or composition collapses a whole block, or
+    when the weight-one components of one output factor all vanish."""
 
 
 class ProjMap:
@@ -89,7 +90,7 @@ class ProjMap:
     it is not dominant and is rejected.
     """
 
-    __slots__ = ("ambient", "components", "_canon")
+    __slots__ = ("ambient", "components")
 
     def __init__(self, ambient: Ambient, components: Sequence[MultiPoly]):
         comps = tuple(components)
@@ -102,15 +103,14 @@ class ProjMap:
         self.components = comps
         self._validate()
         self.components = _gcd_reduce(ambient, self.components)
-        self._canon = None
 
     def _validate(self) -> None:
         factors = list(zip((ws for ws, _ in self.ambient.blocks), self.ambient.block_slices()))
         for ws, (lo, hi) in factors:
             block = self.components[lo:hi]
             if all(c.is_zero() for w, c in zip(ws, block) if w == 1):
-                raise ValueError("every weight-one component of an output factor vanishes:"
-                                 " the map is not dominant")
+                raise BasePointError("every weight-one component of an output factor"
+                                     " vanishes: the map is not dominant")
             # A component of weight w is homogeneous in every input factor j,
             # under its weights, of degree w*d_j; the factor shares (d_1, ...).
             d: Optional[tuple[int, ...]] = None
@@ -160,9 +160,7 @@ class ProjMap:
         return max(c.total_degree() for c in self.components)
 
     def canonical_components(self) -> tuple[MultiPoly, ...]:
-        if self._canon is None:
-            self._canon = _scalar_normalize(self.ambient, self.components)
-        return self._canon
+        return _scalar_normalize(self.ambient, self.components)
 
     def canonical_key(self):
         out = []

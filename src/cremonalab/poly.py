@@ -1,8 +1,9 @@
-"""Univariate polynomials and rational functions over Q(zeta_N).
+"""Polynomials and rational functions of x over Q(zeta_N).
 
-Polynomials are dense coefficient tuples with the zero polynomial stored as
-an empty tuple.  Rational functions are kept reduced with a monic
-denominator, so structural equality is semantic equality.
+x is the one variable: the de Jonquieres group acts through k(x), and
+values print in x.  Polynomials are dense coefficient tuples with the zero
+polynomial stored as an empty tuple.  Rational functions are kept reduced
+with a monic denominator, so structural equality is semantic equality.
 """
 
 from __future__ import annotations
@@ -16,34 +17,33 @@ Coeffish = Union[int, Fraction, CycloNumber]
 
 
 class UniPoly:
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeffish] = (), var: str = "x"):
+    def __init__(self, coeffs: Iterable[Coeffish] = ()):
         cs = [CycloNumber.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(var: str = "x") -> "UniPoly":
-        return UniPoly((), var)
+    def zero() -> "UniPoly":
+        return UniPoly()
 
     @staticmethod
-    def constant(c: Coeffish, var: str = "x") -> "UniPoly":
-        return UniPoly((c,), var)
+    def constant(c: Coeffish) -> "UniPoly":
+        return UniPoly((c,))
 
     @staticmethod
-    def x(var: str = "x") -> "UniPoly":
-        return UniPoly((0, 1), var)
+    def x() -> "UniPoly":
+        return UniPoly((0, 1))
 
     @staticmethod
-    def from_roots(roots: Sequence[Coeffish], var: str = "x") -> "UniPoly":
-        p = UniPoly.constant(1, var)
+    def from_roots(roots: Sequence[Coeffish]) -> "UniPoly":
+        p = UniPoly.constant(1)
         for r in roots:
-            p = p * UniPoly((-CycloNumber.coerce(r), 1), var)
+            p = p * UniPoly((-CycloNumber.coerce(r), 1))
         return p
 
     # -- basic structure ----------------------------------------------------
@@ -71,51 +71,40 @@ class UniPoly:
             return self.coeffs[i]
         return CycloNumber.from_rational(0)
 
-    def _wrap(self, coeffs: Iterable[Coeffish]) -> "UniPoly":
-        return UniPoly(coeffs, self.var)
-
-    def _check_var(self, other: "UniPoly") -> None:
-        if self.var != other.var and not (self.is_constant() or other.is_constant()):
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: Union[Coeffish, "UniPoly"]) -> "UniPoly":
-        other = _coerce_poly(other, self.var)
-        self._check_var(other)
+        other = _coerce_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return self._wrap([self[i] + other[i] for i in range(n)])
+        return UniPoly([self[i] + other[i] for i in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return self._wrap([-c for c in self.coeffs])
+        return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other: Union[Coeffish, "UniPoly"]) -> "UniPoly":
-        return self + (-_coerce_poly(other, self.var))
+        return self + (-_coerce_poly(other))
 
     def __rsub__(self, other: Union[Coeffish, "UniPoly"]) -> "UniPoly":
-        return _coerce_poly(other, self.var) - self
+        return _coerce_poly(other) - self
 
     def __mul__(self, other: Union[Coeffish, "UniPoly"]) -> "UniPoly":
-        other = _coerce_poly(other, self.var)
-        self._check_var(other)
-        return self._wrap(_poly_mul(self.coeffs, other.coeffs))
+        return UniPoly(_poly_mul(self.coeffs, _coerce_poly(other).coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        return _power(self, k, UniPoly.constant(1, self.var))
+        return _power(self, k, UniPoly.constant(1))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        other = _coerce_poly(other, self.var)
+        other = _coerce_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        self._check_var(other)
         quo, rem = _divmod(self.coeffs, other.coeffs)
-        return self._wrap(quo), self._wrap(rem)
+        return UniPoly(quo), UniPoly(rem)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[0]
@@ -133,10 +122,10 @@ class UniPoly:
         if self.is_zero():
             return self
         inv = self.leading().inverse()
-        return self._wrap([c * inv for c in self.coeffs])
+        return UniPoly([c * inv for c in self.coeffs])
 
     def derivative(self) -> "UniPoly":
-        return self._wrap([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return UniPoly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def evaluate(self, value: Coeffish) -> CycloNumber:
         v = CycloNumber.coerce(value)
@@ -147,14 +136,14 @@ class UniPoly:
 
     def compose_poly(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(x)), by Horner evaluation in the polynomial ring."""
-        acc = UniPoly.zero(inner.var)
+        acc = UniPoly.zero()
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, CycloNumber)):
-            other = UniPoly.constant(other, self.var)
+            other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -167,22 +156,20 @@ class UniPoly:
 
     def __str__(self) -> str:
         return _join_terms(
-            _term(c, _mono(self.var, i))
+            _term(c, _mono("x", i))
             for i, c in reversed(list(enumerate(self.coeffs)))
             if not c.is_zero()
         )
 
 
-def _coerce_poly(value: Union[Coeffish, UniPoly], var: str) -> UniPoly:
-    if isinstance(value, UniPoly):
-        return value
-    return UniPoly.constant(value, var)
+def _coerce_poly(value: Union[Coeffish, UniPoly]) -> UniPoly:
+    return value if isinstance(value, UniPoly) else UniPoly.constant(value)
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
     if a.is_zero() and b.is_zero():
-        return UniPoly.zero(a.var)
+        return UniPoly.zero()
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
@@ -211,8 +198,7 @@ def squarefree_part(p: UniPoly) -> SquareFreeDecomposition:
         raise ValueError("squarefree_part of the zero polynomial")
     constant = p.leading()
     mono = p.monic()
-    radical = UniPoly.constant(1, p.var)
-    square_root = UniPoly.constant(1, p.var)
+    radical = square_root = UniPoly.constant(1)
     if mono.degree > 0:
         for mult, factor in _yun(mono):
             if mult % 2 == 1:
@@ -248,7 +234,7 @@ class RatFunc:
 
     def __init__(self, num: UniPoly, den: Optional[UniPoly] = None):
         if den is None:
-            den = UniPoly.constant(1, num.var)
+            den = UniPoly.constant(1)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         g = poly_gcd(num, den)
@@ -260,20 +246,14 @@ class RatFunc:
         self.den = den * lead_inv
 
     @staticmethod
-    def coerce(value: Union[Coeffish, UniPoly, "RatFunc"], var: str = "x") -> "RatFunc":
+    def coerce(value: Union[Coeffish, UniPoly, "RatFunc"]) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
-        if isinstance(value, UniPoly):
-            return RatFunc(value)
-        return RatFunc(UniPoly.constant(value, var))
+        return RatFunc(_coerce_poly(value))
 
     @staticmethod
-    def x(var: str = "x") -> "RatFunc":
-        return RatFunc(UniPoly.x(var))
-
-    @property
-    def var(self) -> str:
-        return self.num.var if not self.num.is_constant() else self.den.var
+    def x() -> "RatFunc":
+        return RatFunc(UniPoly.x())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -287,7 +267,7 @@ class RatFunc:
         return self.num[0] / self.den[0]
 
     def __add__(self, other) -> "RatFunc":
-        other = RatFunc.coerce(other, self.var)
+        other = RatFunc.coerce(other)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -296,25 +276,25 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
-        return self + (-RatFunc.coerce(other, self.var))
+        return self + (-RatFunc.coerce(other))
 
     def __rsub__(self, other) -> "RatFunc":
-        return RatFunc.coerce(other, self.var) - self
+        return RatFunc.coerce(other) - self
 
     def __mul__(self, other) -> "RatFunc":
-        other = RatFunc.coerce(other, self.var)
+        other = RatFunc.coerce(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
-        other = RatFunc.coerce(other, self.var)
+        other = RatFunc.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RatFunc":
-        return RatFunc.coerce(other, self.var) / self
+        return RatFunc.coerce(other) / self
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
@@ -329,7 +309,7 @@ class RatFunc:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, CycloNumber, UniPoly)):
-            other = RatFunc.coerce(other, self.var)
+            other = RatFunc.coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den

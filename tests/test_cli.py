@@ -168,6 +168,26 @@ def test_corpus_format_error_exit_code(tmp_path, capsys):
         assert "component tuples" in capsys.readouterr().err
 
 
+def test_corpus_file_not_utf8_is_a_corpus_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a | P2 | gen = (x : y : z) \xff| gen_orders = 1 | group = 1 "
+                    b"| structure = 1\n")
+    assert main(["corpus", "--file", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "corpus error: 'utf-8' codec can't decode byte 0xff in position 27: invalid start byte\n"
+    )
+
+
+def test_base_point_on_the_command_line_is_an_error(capsys):
+    assert main(["compose", "(x*y : x*z : y*z)", "(x : 0 : 0)"]) == 2
+    assert capsys.readouterr().err == "composition undefined: an output factor vanishes\n"
+    # g o g keeps no weight-one component in P(2,1,1,1): it is not dominant
+    assert main(["order", "--ambient", "W2111", "(w : 0 : 0 : x)"]) == 2
+    assert capsys.readouterr().err == (
+        "every weight-one component of an output factor vanishes: the map is not dominant\n"
+    )
+
+
 def test_zero_divisors_are_parse_errors(tmp_path, capsys):
     cases = {
         ("order", "(0^-1*x : y : z)"): 2,

@@ -257,6 +257,25 @@ def test_closure_stops_past_the_claimed_order():
     ]
 
 
+def test_base_point_in_the_fallback_is_a_failed_check():
+    # The closure meets a base point, and so do the fallback's products:
+    # (y : z : 0) o (x : 0 : 0) vanishes, and so does g o g for the weighted
+    # g, whose square keeps no weight-one component.
+    rows = parse_corpus(
+        "a | P2 | gen = (y : z : 0) | gen = (x : 0 : 0) | gen_orders = 2,2 | group = 4 "
+        "| structure = 2,2\n"
+        "b | W2111 | gen = (w : 0 : 0 : x) | gen_orders = 2 | group = 2 | structure = 2"
+    )
+    undefined = "composition undefined: an output factor vanishes"
+    not_dominant = ("every weight-one component of an output factor vanishes:"
+                    " the map is not dominant")
+    assert [_checks_within(row, 1.0) for row in rows] == [
+        [("gen1 order", False, "computed OverCap"), ("gen2 order", False, "computed OverCap"),
+         ("gen1,gen2 commute", False, undefined), ("group order", False, undefined)],
+        [("gen1 order", False, not_dominant), ("group order", False, not_dominant)],
+    ]
+
+
 def test_internal_error_in_closure_propagates(monkeypatch):
     def broken_closure(gens, cap):
         raise ZeroDivisionError("internal fault")
