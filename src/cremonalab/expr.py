@@ -232,11 +232,6 @@ def parse_ratfunc(text: str) -> RatFunc:
     return parser.parse(parser.expr)
 
 
-def parse_constant(text: str) -> CycloNumber:
-    p = parse_expression(text, ())
-    return p.constant_value()
-
-
 def parse_tuples(text: str, vars: Sequence[str]) -> list[tuple[MultiPoly, ...]]:
     """Parse "(e : e : ...)" tuples joined by the name x, one tuple per factor."""
     parser = _Parser(text, _Polys(vars))

@@ -33,7 +33,6 @@ from .maps import P1xP1, ProjMap
 from .multipoly import MultiPoly
 from .poly import RatFunc, UniPoly, poly_gcd, squarefree_part
 
-Mat2 = tuple[tuple[RatFunc, RatFunc], tuple[RatFunc, RatFunc]]
 PMat2 = tuple[tuple[UniPoly, UniPoly], tuple[UniPoly, UniPoly]]
 CMat2 = tuple[tuple[CycloNumber, CycloNumber], tuple[CycloNumber, CycloNumber]]
 
@@ -139,12 +138,6 @@ class JonqElement:
     @staticmethod
     def base_only(beta: Sequence[Sequence]) -> "JonqElement":
         return JonqElement(((1, 0), (0, 1)), beta)
-
-    @property
-    def a(self) -> Mat2:
-        """A over k(x), divided by its pivot."""
-        pivot = _pivot(self.m)
-        return tuple(tuple(RatFunc(e, pivot) for e in row) for row in self.m)
 
     def det(self) -> UniPoly:
         """det(m), det(A) times a square with leading coefficient 1."""
@@ -344,45 +337,6 @@ def ramification_data(e: JonqElement) -> TwistingVerdict:
 
 
 @dataclass
-class NormalizationRecord:
-    """e = p sigma_g p^-1 with p the conjugator, sigma_g = ((0, g), (1, 0))."""
-
-    g: RatFunc
-    conjugator: Mat2
-    verified: bool
-
-
-def normalize_involution(e: JonqElement) -> NormalizationRecord:
-    """Conjugate an involution of PGL(2, k(x)) to its antidiagonal form.
-
-    In the basis (v, e(v)) for a non-eigenvector v the matrix becomes
-    ((0, g), (1, 0)) with g the scalar of e^2.  Candidate vectors come from
-    a fixed deterministic sequence so runs are reproducible.
-    """
-    if not e.has_trivial_base():
-        raise ValueError("normalization requires a trivial action on the base")
-    if not is_involution(e):
-        raise ValueError("normalization requires an involution")
-    m = e.a
-    # tr(A) = 0, so A^2 = -det(A) I: with A scaled canonically, lam = -det(A)
-    # is g of the antidiagonal form.
-    lam = -_det(m)
-    sigma = ((0, lam), (1, 0))
-    x = UniPoly.x()
-    for v0, v1 in ((1, 0), (0, 1), (1, 1), (x, 1), (x + 1, 1), (x**2, 1)):
-        v = (RatFunc.coerce(v0), RatFunc.coerce(v1))
-        w = (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-        detp = v[0] * w[1] - v[1] * w[0]
-        if detp.is_zero():
-            continue  # v is an eigenvector; try the next one
-        conj: Mat2 = ((v[0], w[0]), (v[1], w[1]))
-        # p * sigma = e * p, projectively
-        verified = JonqElement(_mat2_mul(conj, sigma)) == JonqElement(_mat2_mul(m, conj))
-        return NormalizationRecord(lam, conj, verified)
-    raise ValueError("no usable basis vector found in the deterministic sequence")
-
-
-@dataclass
 class OddRootResult:
     """Root of even order built from an odd parameter n.
 
@@ -481,42 +435,3 @@ def sigma_ab(a_roots: Sequence, b_roots: Sequence) -> JonqElement:
     den = UniPoly.from_roots([CycloNumber.coerce(r) for r in a_roots])
     return JonqElement.sigma(RatFunc(num, den))
 
-
-def square_class_group(g: RatFunc, h: RatFunc) -> Union[int, str]:
-    """Order (1, 2 or 4) of the subgroup of k(x)*/k(x)*^2 generated by the
-    determinant classes of sigma_g and the commuting involution
-    ((h, -g), (1, -h)); 'indeterminate' when constants cannot be resolved.
-
-    The classes are taken with algebraically-closed semantics (radical only)
-    except that trivially-radical classes fall back to the constant test.
-    """
-    g = RatFunc.coerce(g)
-    h = RatFunc.coerce(h)
-    if g.is_zero():
-        raise ValueError("g must be nonzero")
-    d1 = -g
-    d2 = g - h * h
-    if d2.is_zero():
-        raise ValueError("degenerate pair: g = h^2")
-    c1 = square_class(d1)
-    c2 = square_class(d2)
-    c12 = square_class(d1 * d2)
-    flags = []
-    for c in (c1, c2, c12):
-        if not c.radical.is_one():
-            flags.append(False)  # nontrivial
-        else:
-            eff = c.is_trivial_effective()
-            if eff is None:
-                return "indeterminate"
-            flags.append(eff)
-    t1, t2, t12 = flags
-    nontrivial = sum(1 for t in (t1, t2, t12) if not t)
-    if nontrivial == 0:
-        return 1
-    if nontrivial == 2:
-        return 2
-    if nontrivial == 3:
-        return 4
-    # Exactly one nontrivial class cannot happen in a Klein four quotient.
-    raise AssertionError("inconsistent square classes")

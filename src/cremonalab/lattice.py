@@ -60,10 +60,6 @@ class BlowupLattice:
             raise ValueError("r must be between 0 and 8")
         self.r = r
 
-    @property
-    def rank(self) -> int:
-        return self.r + 1
-
     def line(self) -> DivClass:
         return DivClass(1, (0,) * self.r)
 
@@ -76,9 +72,6 @@ class BlowupLattice:
 
     def canonical(self) -> DivClass:
         return DivClass(-3, (-1,) * self.r)
-
-    def degree(self) -> int:
-        return 9 - self.r
 
 
 def intersect(a: DivClass, b: DivClass) -> int:
@@ -192,17 +185,6 @@ def neighbor_profile(r: int) -> dict[int, int]:
             raise ValueError(f"non-uniform neighbor profile at r={r}: {profile} vs {counts}")
     assert profile is not None
     return dict(sorted(profile.items()))
-
-
-def is_homaloidal(n: int, multiplicities: Sequence[int]) -> bool:
-    """Net-of-curves test: sum k = 3n-3 and sum k^2 = n^2-1.
-
-    Generic irreducibility of the system is not checked.
-    """
-    if n < 1 or any(k < 1 for k in multiplicities):
-        return False
-    ks = list(multiplicities)
-    return sum(ks) == 3 * n - 3 and sum(k * k for k in ks) == n * n - 1
 
 
 def arcond_search(m_max: int) -> list[tuple[int, tuple[int, int, int, int]]]:

@@ -11,15 +11,13 @@ forms is equality of maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, prod
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .cyclo import OVER_CAP, CycloNumber, _order, _power, _solve
+from .cyclo import OVER_CAP, CycloNumber, _order, _solve
 from .multipoly import MultiPoly, _from_terms, gcd_many
 
-Coeffish = Union[int, "CycloNumber"]
 # Past this total degree a power or a closure element is taken as evidence of
 # infinite order; finite groups in the corpus stay far below it.
 DEGREE_CAP = 64
@@ -137,17 +135,6 @@ class ProjMap:
         comps = [MultiPoly.variable(vars, v) for v in vars]
         return ProjMap(ambient, comps)
 
-    @staticmethod
-    def diagonal(ambient: Ambient, scalars: Sequence[Coeffish]) -> "ProjMap":
-        vars = ambient.vars
-        if len(scalars) != len(vars):
-            raise ValueError("need one scalar per coordinate")
-        comps = [
-            MultiPoly.variable(vars, v).scale(CycloNumber.coerce(s))
-            for v, s in zip(vars, scalars)
-        ]
-        return ProjMap(ambient, comps)
-
     # -- canonical form and equality -----------------------------------------
 
     def is_degree_one(self) -> bool:
@@ -182,9 +169,6 @@ class ProjMap:
     def __hash__(self) -> int:
         return hash((self.ambient, self.canonical_key()))
 
-    def is_identity(self) -> bool:
-        return self == ProjMap.identity(self.ambient)
-
     # -- composition -----------------------------------------------------
 
     def compose(self, other: "ProjMap") -> "ProjMap":
@@ -201,22 +185,6 @@ class ProjMap:
 
     def __mul__(self, other: "ProjMap") -> "ProjMap":
         return self.compose(other)
-
-    def power(self, k: int) -> "ProjMap":
-        if k < 0:
-            raise ValueError("negative power of a rational map")
-        return _power(self, k, ProjMap.identity(self.ambient))
-
-    def evaluate(self, point: "ProjPoint") -> "ProjPoint":
-        if point.ambient != self.ambient:
-            raise ValueError("point not in the map's ambient")
-        values = dict(zip(self.ambient.vars, point.coords))
-        coords = [c.evaluate(values) for c in self.components]
-        slices = self.ambient.block_slices()
-        for lo, hi in slices:
-            if all(c.is_zero() for c in coords[lo:hi]):
-                raise BasePointError("point lies in the base locus")
-        return ProjPoint(self.ambient, coords)
 
     def __repr__(self) -> str:
         slices = self.ambient.block_slices()
@@ -276,61 +244,6 @@ def _scalar_normalize(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[M
     return tuple(out)
 
 
-class ProjPoint:
-    """Point of the ambient; equality is per-factor weighted equivalence."""
-
-    __slots__ = ("ambient", "coords")
-
-    def __init__(self, ambient: Ambient, coords: Sequence[Coeffish]):
-        cs = tuple(CycloNumber.coerce(c) for c in coords)
-        if len(cs) != len(ambient.vars):
-            raise ValueError("coordinate count must match the ambient roster")
-        for lo, hi in ambient.block_slices():
-            if all(c.is_zero() for c in cs[lo:hi]):
-                raise ValueError("zero coordinate block")
-        self.ambient = ambient
-        self.coords = cs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        if self.ambient != other.ambient:
-            return False
-        slices = self.ambient.block_slices()
-        for (ws, _), (lo, hi) in zip(self.ambient.blocks, slices):
-            if not _points_block_equal(ws, self.coords[lo:hi], other.coords[lo:hi]):
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        raise TypeError("ProjPoint is unhashable; use explicit equality")
-
-    def __repr__(self) -> str:
-        slices = self.ambient.block_slices()
-        return " x ".join(
-            "(" + " : ".join(str(c) for c in self.coords[lo:hi]) + ")" for lo, hi in slices
-        )
-
-
-def _points_block_equal(
-    ws: Sequence[int], a: Sequence[CycloNumber], b: Sequence[CycloNumber]
-) -> bool:
-    """Whether b_i = lam^{w_i} a_i for some lam over the algebraic closure.
-
-    On a common support let r_i = b_i/a_i and u_i = w_i/d, d the gcd of the
-    support's weights.  The pairs u_j e_i - u_i e_j generate the lattice of
-    integer m with m.u = 0 (the Koszul complex of coprime u_i is exact), so
-    r_i^{u_j} = r_j^{u_i} for every pair exactly when r_i = nu^{u_i} for one
-    nu, and then lam is any d-th root of nu.
-    """
-    if any(x.is_zero() != y.is_zero() for x, y in zip(a, b)):
-        return False
-    nz = [i for i, x in enumerate(a) if not x.is_zero()]
-    d = gcd(*(ws[i] for i in nz))
-    r = {i: b[i] / a[i] for i in nz}
-    return all(r[i] ** (ws[j] // d) == r[j] ** (ws[i] // d) for i, j in combinations(nz, 2))
-
-
 @dataclass(frozen=True)
 class Hypersurface:
     """Weighted-homogeneous equation cutting a surface in the ambient."""
@@ -353,21 +266,6 @@ class NotInvariant:
 
 
 NOT_INVARIANT = NotInvariant()
-
-
-def semi_invariance(surface: Hypersurface, f: ProjMap):
-    """Scalar lam with F(f(x)) = lam * F(x), or NOT_INVARIANT.
-
-    Requires f linear per weighted coordinate so the pullback has the same
-    weighted degree as F.
-    """
-    ambient = surface.ambient
-    if f.ambient != ambient:
-        raise ValueError("map and surface live in different ambients")
-    if not f.is_degree_one():
-        raise ValueError("semi-invariance needs a degree-one map")
-    pulled = surface.equation.subs(dict(zip(ambient.vars, f.components)))
-    return scalar_multiple(pulled, surface.equation)
 
 
 def scalar_multiple(p: MultiPoly, q: MultiPoly):
@@ -395,10 +293,6 @@ def in_span(p: MultiPoly, basis: Sequence[MultiPoly]) -> Optional[list[CycloNumb
     return _solve(rows, len(basis), CycloNumber.from_rational(0))
 
 
-def is_fixed_point(f: ProjMap, point: ProjPoint) -> bool:
-    return f.evaluate(point) == point
-
-
 def order_of_map(f: ProjMap, order_cap: int = 5040, degree_cap: int = DEGREE_CAP):
     """Least k with f^k the identity; OVER_CAP past either cap."""
     if order_cap < 1 or degree_cap < 1:
@@ -421,58 +315,6 @@ P1xP1 = Ambient.product(("x1", "x2"), ("y1", "y2"))
 P2xP2 = Ambient.product(("x", "y", "z"), ("u", "v", "w"))
 WP2111 = Ambient.weighted((2, 1, 1, 1), ("w", "x", "y", "z"))
 WP3112 = Ambient.weighted((3, 1, 1, 2), ("w", "x", "y", "z"))
-
-
-def _mp(ambient: Ambient, name: str) -> MultiPoly:
-    return MultiPoly.variable(ambient.vars, name)
-
-
-@dataclass
-class KappaRecord:
-    map: ProjMap
-    square: ProjMap
-    preserves_surface: bool
-    square_matches_formula: bool
-
-
-def kappa(alpha: Coeffish, beta: Coeffish) -> KappaRecord:
-    """The fiber-twisting automorphism of the degree-6 surface in P2 x P2.
-
-    (x:y:z) x (u:v:w) -> (u : a*w : b*v) x (x : z/a : y/b); the record checks
-    that the surface ux = vy = wz is preserved and that the square matches
-    the diagonal closed form.
-    """
-    a = CycloNumber.coerce(alpha)
-    b = CycloNumber.coerce(beta)
-    if a.is_zero() or b.is_zero():
-        raise ValueError("twisting parameters must be nonzero")
-    x, y, z = (_mp(P2xP2, n) for n in ("x", "y", "z"))
-    u, v, w = (_mp(P2xP2, n) for n in ("u", "v", "w"))
-    k = ProjMap(
-        P2xP2,
-        [u, w.scale(a), v.scale(b), x, z.scale(a.inverse()), y.scale(b.inverse())],
-    )
-    # Surface ideal generators.
-    e1 = u * x - v * y
-    e2 = v * y - w * z
-    sub = dict(zip(P2xP2.vars, k.components))
-    ok = True
-    for e in (e1, e2):
-        if in_span(e.subs(sub), [e1, e2]) is None:
-            ok = False
-    k2 = k.compose(k)
-    expected = ProjMap.diagonal(
-        P2xP2,
-        [
-            CycloNumber.from_rational(1),
-            a / b,
-            b / a,
-            CycloNumber.from_rational(1),
-            b / a,
-            a / b,
-        ],
-    )
-    return KappaRecord(k, k2, ok, k2 == expected)
 
 
 @dataclass
@@ -530,26 +372,6 @@ def verify_dp4_embedding(samples: int = 50, seed: int = 0) -> EmbeddingReport:
             passed = False
         checks += 1
     return EmbeddingReport((q1, q2), passed, checks)
-
-
-def discriminant_dp1(f4: MultiPoly, f6: MultiPoly) -> MultiPoly:
-    """27*F6^2 + 4*F4^3 for binary forms of degrees 4 and 6."""
-    if not f6.is_weighted_homogeneous([1] * len(f6.vars)) or f6.total_degree() != 6:
-        raise ValueError("F6 must be a binary sextic form")
-    if not f4.is_zero():
-        if f4.total_degree() != 4 or not f4.is_weighted_homogeneous([1] * len(f4.vars)):
-            raise ValueError("F4 must be a binary quartic form (or zero)")
-    delta = f6 * f6 * 27 + f4 * f4 * f4 * 4
-    if delta.is_zero():
-        raise ValueError("discriminant vanishes identically: singular surface")
-    return delta
-
-
-def fiber_type(f4: MultiPoly, f6: MultiPoly, point: Sequence[Coeffish]) -> str:
-    """'singular_rational' on a discriminant root, else 'smooth_elliptic'."""
-    delta = discriminant_dp1(f4, f6)
-    values = dict(zip(f6.vars, point))
-    return "singular_rational" if delta.evaluate(values).is_zero() else "smooth_elliptic"
 
 
 # -- group closure -------------------------------------------------------------

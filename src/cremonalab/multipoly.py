@@ -88,12 +88,6 @@ class MultiPoly:
         degs = {sum(w * e for w, e in zip(weights, expo)) for expo in self.terms}
         return len(degs) == 1
 
-    def degree_in(self, var: str) -> int:
-        if self.is_zero():
-            return -1
-        i = self.vars.index(var)
-        return max(expo[i] for expo in self.terms)
-
     def leading_monomial(self) -> tuple[int, ...]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading monomial")

@@ -127,13 +127,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
-    def evaluate(self, value: Coeffish) -> CycloNumber:
-        v = CycloNumber.coerce(value)
-        acc = CycloNumber.from_rational(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
     def compose_poly(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(x)), by Horner evaluation in the polynomial ring."""
         acc = UniPoly.zero()
@@ -300,12 +293,6 @@ class RatFunc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
         return RatFunc(self.den, self.num)
-
-    def evaluate(self, value: Coeffish) -> CycloNumber:
-        den = self.den.evaluate(value)
-        if den.is_zero():
-            raise ZeroDivisionError("pole of rational function")
-        return self.num.evaluate(value) / den
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, CycloNumber, UniPoly)):

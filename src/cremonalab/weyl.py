@@ -102,40 +102,6 @@ def identity_aut(r: int) -> PicAut:
     return PicAut(r, _identity(r + 1), check=False)
 
 
-def basis_permutation(r: int, images: Sequence[int]) -> PicAut:
-    """PicAut permuting the E_i (images[i] = j means E_{i+1} -> E_{j+1})."""
-    n = r + 1
-    m = [[0] * n for _ in range(n)]
-    for i, j in enumerate(images):
-        m[j][i] = 1
-    m[r][r] = 1
-    return PicAut(r, m)
-
-
-def quadratic_reflection(r: int, points: tuple[int, int, int] = (1, 2, 3)) -> PicAut:
-    """Standard quadratic transformation based at three blown-up points."""
-    if r < 3:
-        raise ValueError("needs at least three exceptional classes")
-    i, j, k = (p - 1 for p in points)
-    n = r + 1
-    m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    # L -> 2L - Ei - Ej - Ek ; Ei -> L - Ej - Ek etc.
-    for a in (i, j, k):
-        col = [0] * n
-        for b in (i, j, k):
-            if b != a:
-                col[b] = -1
-        col[r] = 1
-        for row in range(n):
-            m[row][a] = col[row]
-    lcol = [0] * n
-    lcol[i] = lcol[j] = lcol[k] = -1
-    lcol[r] = 2
-    for row in range(n):
-        m[row][r] = lcol[row]
-    return PicAut(r, m)
-
-
 GEISER_MATRIX = (
     (-2, -1, -1, -1, -1, -1, -1, -3),
     (-1, -2, -1, -1, -1, -1, -1, -3),

@@ -2,6 +2,8 @@ import json
 
 from cremonalab.cli import main
 
+from test_golden import assert_golden
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -111,9 +113,13 @@ def test_jonq_bad_input(capsys):
 
 
 def test_corpus_json_deterministic(capsys):
-    code1, out1 = run(capsys, "corpus", "--json")
-    code2, out2 = run(capsys, "corpus", "--json", "--jobs", "2")
+    """The serial and the parallel report both match the golden; regenerate it with
+    `PYTHONPATH=src python -m cremonalab.cli corpus --json --verbose >
+    tests/golden/corpus-verbose.json`."""
+    code1, out1 = run(capsys, "corpus", "--json", "--verbose")
+    code2, out2 = run(capsys, "corpus", "--json", "--verbose", "--jobs", "2")
     assert code1 == code2 == 0
+    assert_golden("corpus-verbose.json", out1)
     assert out1 == out2
     data = json.loads(out1)
     assert data["failed"] == 0

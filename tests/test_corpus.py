@@ -80,8 +80,27 @@ def test_verify_detects_noninvariant_surface():
     )
     rep = verify_row(rows[0])
     assert not rep.passed
-    labels = [c.label for c in rep.checks if not c.passed]
-    assert any("invariance" in l for l in labels)
+    failing = [(c.label, c.detail) for c in rep.checks if not c.passed]
+    assert failing[0] == ("gen1 invariance", "not semi-invariant: F = w^3 + x^3 + y^3 + z^3")
+
+
+def test_failed_checks_name_both_sides():
+    # A passing detail is only what was computed, as the bench reads it.
+    rows = parse_corpus(
+        "small | P2 | gen = (x : y : -z) | gen_orders = 2 | group = 4 | structure = 4\n"
+        "sign | P3 | F = w^3 + x^3 + y^3 + z^3 | gen = (-w : -x : -y : -z) | gen_orders = 1 "
+        "| group = 1 | structure = 1\n"
+        "scale | P3 | F = w^3 + x^3 + y^3 + z^3 | gen = (2*w : 2*x : 2*y : 2*z) "
+        "| gen_orders = 1 | group = 1 | structure = 1"
+    )
+    checks = [[(c.label, c.passed, c.detail) for c in verify_row(row).checks] for row in rows]
+    assert checks[0] == [("gen1 order", True, "computed 2"),
+                         ("group order", False, "computed 2 / expected 4")]
+    assert checks[1][:2] == [
+        ("gen1 invariance", True, "-1"),
+        ("gen1 factor order", False, "lambda=-1 of order 2 / expected order dividing 1")]
+    assert checks[2][1] == (
+        "gen1 factor order", False, "lambda=8 of infinite order / expected order dividing 1")
 
 
 def test_verify_second_equation_kept_first_not():
@@ -94,7 +113,7 @@ def test_verify_second_equation_kept_first_not():
     rep = verify_row(rows[0])
     failing = [c for c in rep.checks if not c.passed]
     assert [c.label for c in failing] == ["gen1 invariance"]
-    assert failing[0].detail == "1"
+    assert failing[0].detail == "not semi-invariant: F = w^2 + x^2 + y^2 + y*z; 1"
     assert [c.detail for c in rep.checks if c.label == "gen1 factor order"] == ["lambda=1"]
 
 
@@ -208,8 +227,8 @@ def test_closure_overflow_is_a_failed_group_order():
     checks = [[(c.label, c.passed, c.detail) for c in verify_row(row).checks] for row in rows]
     assert checks == [
         [("gen1 order", True, "computed 8"), overflow],
-        [("gen1 order", False, "computed OverCap"), overflow],
-        [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2"),
+        [("gen1 order", False, "computed OverCap / expected 2"), overflow],
+        [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2 / expected 3"),
          ("gen1,gen2 commute", False, "gen1*gen2 != gen2*gen1"), overflow],
     ]
 
@@ -238,9 +257,9 @@ def test_runaway_degree_is_a_failed_group_order():
         "h8 | P2 | gen = (x*y : y^2 : z^2) | gen_orders = 2 | group = 8 | structure = 8"
     )
     assert [_checks_within(row, 1.0) for row in rows] == [
-        [("gen1 order", False, "computed OverCap"),
+        [("gen1 order", False, "computed OverCap / expected 2"),
          ("group order", False, "group closure exceeded 2 elements")],
-        [("gen1 order", False, "computed OverCap"),
+        [("gen1 order", False, "computed OverCap / expected 2"),
          ("group order", False, "group closure element of degree over 64")],
     ]
 
@@ -270,7 +289,8 @@ def test_base_point_in_the_fallback_is_a_failed_check():
     not_dominant = ("every weight-one component of an output factor vanishes:"
                     " the map is not dominant")
     assert [_checks_within(row, 1.0) for row in rows] == [
-        [("gen1 order", False, "computed OverCap"), ("gen2 order", False, "computed OverCap"),
+        [("gen1 order", False, "computed OverCap / expected 2"),
+         ("gen2 order", False, "computed OverCap / expected 2"),
          ("gen1,gen2 commute", False, undefined), ("group order", False, undefined)],
         [("gen1 order", False, not_dominant), ("group order", False, not_dominant)],
     ]

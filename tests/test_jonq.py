@@ -10,12 +10,10 @@ from cremonalab.jonq import (
     fourth_root_example,
     is_involution,
     is_twisting,
-    normalize_involution,
     order_j,
     ramification_data,
     sigma_ab,
     square_class,
-    square_class_group,
     to_bihomogeneous,
 )
 from cremonalab.maps import P1xP1, ProjMap
@@ -98,7 +96,7 @@ def test_compose_substitutes_the_base():
     assert fixed == JonqElement(((g, 0), (0, 1)), flip)
     shift = ((1, 1), (0, 1))
     moved = JonqElement(((rf(x() + 1), 0), (0, 1))).compose(JonqElement.base_only(shift))
-    assert moved.a[0][0] == rf(x() + 2)
+    assert moved.m[0][0] == x() + 2
     assert moved == JonqElement(((rf(x() + 2), 0), (0, 1)), shift)
 
 
@@ -118,7 +116,7 @@ def test_compose_and_inverse_match_sympy():
 
     # 2x2 matrices as lists [m00, m01, m10, m11]
     def fiber(e, at=t):
-        return [value(f.num, at) / value(f.den, at) for row in e.a for f in row]
+        return [value(p, at) for row in e.m for p in row]
 
     def base(e):
         return [number(c) for row in e.beta for c in row]
@@ -130,9 +128,9 @@ def test_compose_and_inverse_match_sympy():
     def adjugate(a):
         return [a[3], -a[1], -a[2], a[0]]
 
-    def same(got, expected):  # got equals expected divided by its pivot
-        pivot = next(e for e in reversed(expected) if e)
-        return all(not (g - e / pivot) for g, e in zip(got, expected))
+    def same(got, expected):  # equal up to a scalar: each divided by its pivot
+        gp, ep = (next(e for e in reversed(v) if e) for v in (got, expected))
+        return all(not (g / gp - e / ep) for g, e in zip(got, expected))
 
     def mobius(b):
         return (b[0] * t + b[1]) / (b[2] * t + b[3])
@@ -273,21 +271,25 @@ def test_ramification_examples():
 
 
 def test_normalize_involution():
-    rec = normalize_involution(JonqElement.sigma(rf(x())))
-    assert rec.verified
-    assert rec.g == rf(x())
-    ident = ((rf(1), rf(0)), (rf(0), rf(1)))
-    assert rec.conjugator == ident
-
+    # An involution e = (A, 1) is conjugate to sigma_g, g = -det(A): tr A = 0
+    # gives A^2 = -det(A), so with p = (v | A v) for a non-eigenvector v,
+    # p sigma_g = e p.
     h, g = rf(x() + 1), rf(x())
-    m = JonqElement(((h, -g), (rf(1), -h)))
-    rec = normalize_involution(m)
-    assert rec.verified
-    assert square_class(rec.g).radical == square_class(g - h * h).radical
-
-    rec = normalize_involution(JonqElement(((rf(1), rf(0)), (rf(0), rf(-1)))))
-    assert rec.verified
-    assert square_class(rec.g).radical.is_one()
+    cases = [
+        (JonqElement.sigma(rf(x())), (1, 0)),  # p is the identity
+        (JonqElement(((h, -g), (rf(1), -h))), (1, 0)),
+        (JonqElement(((rf(1), rf(0)), (rf(0), rf(-1)))), (1, 1)),  # (1, 0) is an eigenvector
+    ]
+    for e, v in cases:
+        assert is_involution(e)
+        m = e.m
+        p = JonqElement(((v[0], m[0][0] * v[0] + m[0][1] * v[1]),
+                         (v[1], m[1][0] * v[0] + m[1][1] * v[1])))
+        assert p.compose(JonqElement.sigma(-e.det())) == e.compose(p)
+    dets = [-e.det() for e, _ in cases]
+    assert dets[0] == x()
+    assert square_class(dets[1]).radical == square_class(g - h * h).radical
+    assert square_class(dets[2]).radical.is_one()
 
 
 def test_det_class_conjugation_invariance():
@@ -383,7 +385,7 @@ def test_to_bihomogeneous_normal_form():
     vars4 = P1xP1.vars
     x1, x2, y1, y2 = (MultiPoly.variable(vars4, n) for n in vars4)
     assert m == ProjMap(P1xP1, [x1, x2, y2 * (x1 - x2), y1 * x1])
-    assert to_bihomogeneous(JonqElement.identity()).is_identity()
+    assert to_bihomogeneous(JonqElement.identity()) == ProjMap.identity(P1xP1)
 
 
 def test_to_bihomogeneous_homomorphism_randomized():
@@ -420,17 +422,17 @@ def test_to_bihomogeneous_injective_on_pool():
 
 
 def test_square_class_group():
-    # radicals x and x^2+x+1 are distinct and nonconstant
-    assert square_class_group(rf(x()), rf(x() + 1)) == 4
-    # g = x^2+4, h = x: second class is the square 4, so only one
-    # nontrivial class survives together with the product class
-    assert square_class_group(rf(x() ** 2 + 4), rf(x())) == 2
-    # constant classes over Q: -g = 1 square, h^2-g = -5 nonsquare
-    assert square_class_group(rf(-1), rf(2)) == 2
-    # both classes trivial: g = -1, h^2 - g = 2 over Q(i): 2 unresolved there
-    i = CycloNumber.zeta(4)
-    g = rf(CycloNumber.from_rational(-1).promote(4))
-    out = square_class_group(g, rf(CycloNumber.from_rational(1) + i))
-    assert out in (1, 2, 4, "indeterminate")
-    with pytest.raises(ValueError):
-        square_class_group(rf(x() ** 2), rf(x()))  # g = h^2 is degenerate
+    # sigma_g and tau = ((h, -g), (1, -h)) commute; the determinant classes of
+    # sigma_g, tau and sigma_g tau generate a subgroup of k(x)*/k(x)*^2 of
+    # order 4 when all three are nontrivial, 2 when exactly two are.
+    cases = [
+        (x(), x() + 1, [True, True, True]),  # radicals x and x^2+x+1: order 4
+        (x() ** 2 + 4, x(), [True, False, True]),  # det(tau) = 4, a square: order 2
+        (UniPoly.constant(-1), UniPoly.constant(2), [False, True, True]),  # -g = 1, -5
+    ]
+    for g, h, nontrivial in cases:
+        sigma = JonqElement.sigma(g)
+        tau = JonqElement(((h, -g), (1, -h)))
+        assert sigma.compose(tau) == tau.compose(sigma)
+        classes = [det_class(e) for e in (sigma, tau, sigma.compose(tau))]
+        assert [c.is_trivial_effective() is False for c in classes] == nontrivial

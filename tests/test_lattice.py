@@ -13,7 +13,6 @@ from cremonalab.lattice import (
     enumerate_conic_classes,
     enumerate_exceptional,
     intersect,
-    is_homaloidal,
     neighbor_profile,
 )
 
@@ -107,12 +106,19 @@ def test_hexagon_at_r3():
 
 
 def test_homaloidal():
-    assert is_homaloidal(1, [])
-    assert is_homaloidal(2, [1, 1, 1])
-    assert not is_homaloidal(2, [1, 1])
-    assert is_homaloidal(5, [3, 2, 2, 2, 1, 1, 1])
-    assert not is_homaloidal(0, [])
-    assert not is_homaloidal(3, [2, 2, 1])  # sums 5 != 6
+    # The type (n; k_1..k_r) of a homaloidal net has sum k = 3n - 3 and
+    # sum k^2 = n^2 - 1: its class H = nL - sum k_i E_i has H^2 = 1 and
+    # H.K = -3, so a net of rational curves.
+    def homaloidal(n, ks):
+        h = DivClass(n, tuple(ks))
+        return intersect(h, h) == 1 and intersect(h, BlowupLattice(len(ks)).canonical()) == -3
+
+    assert homaloidal(1, [])
+    assert homaloidal(2, [1, 1, 1])
+    assert not homaloidal(2, [1, 1])
+    assert homaloidal(5, [3, 2, 2, 2, 1, 1, 1])
+    assert not homaloidal(3, [2, 2, 1])  # sums 5 != 6
+    assert arithmetic_genus(DivClass(5, (3, 2, 2, 2, 1, 1, 1))) == 0
 
 
 def test_arcond_unique_solution():

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -141,10 +140,3 @@ def test_compose_poly():
     assert p.compose_poly(q) == x() ** 6 + 1
     assert p.compose_poly(-q) == x() ** 6 + 1
     assert (x() + 1).compose_poly(x() - 1) == x()
-
-
-def test_evaluate():
-    i = CycloNumber.zeta(4)
-    p = x() ** 2 + 1
-    assert p.evaluate(i).is_zero()
-    assert p.evaluate(Fraction(1, 2)) == Fraction(5, 4)

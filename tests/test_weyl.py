@@ -7,7 +7,6 @@ from cremonalab.weyl import (
     OVER_CAP,
     PicAut,
     act_on_exceptional,
-    basis_permutation,
     charpoly,
     eigenvalue_multiplicities,
     fixed_rank,
@@ -20,9 +19,30 @@ from cremonalab.weyl import (
     orbit_divisibility,
     order,
     permutation_cycles,
-    quadratic_reflection,
 )
 from cremonalab.cyclo import euler_phi
+
+
+def basis_permutation(r, images):
+    """PicAut permuting the E_i (images[i] = j means E_{i+1} -> E_{j+1})."""
+    m = [[0] * (r + 1) for _ in range(r + 1)]
+    for i, j in enumerate(images):
+        m[j][i] = 1
+    m[r][r] = 1
+    return PicAut(r, m)
+
+
+def quadratic_reflection(r, points=(1, 2, 3)):
+    """The standard quadratic transformation based at three blown-up points:
+    L -> 2L - Ei - Ej - Ek and Ei -> L - Ej - Ek, in basis (E_1..E_r, L)."""
+    i, j, k = (p - 1 for p in points)
+    m = [[int(a == b) for b in range(r + 1)] for a in range(r + 1)]
+    for a in (i, j, k):
+        for row in range(r + 1):
+            m[row][a] = 1 if row == r else -1 if row in (i, j, k) and row != a else 0
+    for row in range(r + 1):
+        m[row][r] = 2 if row == r else -1 if row in (i, j, k) else 0
+    return PicAut(r, m)
 
 
 def test_geiser():
