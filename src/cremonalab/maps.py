@@ -377,69 +377,81 @@ def verify_dp4_embedding(samples: int = 50, seed: int = 0) -> EmbeddingReport:
 # -- group closure -------------------------------------------------------------
 
 
-class ClosureOverflow(RuntimeError):
-    pass
+class ClosureError(RuntimeError):
+    """No closure: two generators do not commute, or the group has more
+    elements than the cap, or an element of degree over DEGREE_CAP."""
 
 
 class Closure(list):
-    """Group elements in breadth-first order, the identity first, and the
-    group's invariant factors.  step[j][i] is the index of closure[j] * gens[i],
-    so the right-multiplication table answers orders and commutation."""
-    invariants: Optional[tuple[int, ...]] = None  # each > 1; None when not abelian
-    step: list[list[int]]
+    """The elements of an abelian group, coset by coset along H_j =
+    <gens[0..j]>.  t[j] = [H_j : H_(j-1)] is the relative order of gens[j],
+    and gens[j]^t[j] is the element of H_(j-1) with exponents carry[j].
+    Element s_0 + t_0*(s_1 + t_1*(...)), each 0 <= s_j < t_j, is
+    gens[0]^s_0 * ... * gens[k-1]^s_(k-1): the normal form of its exponents."""
+    t: list[int]
+    carry: list[list[int]]
+    invariants: tuple[int, ...]  # each > 1
 
     def order(self, i: int, order_cap: int, degree_cap: int = DEGREE_CAP):
-        """order_of_map(gens[i], order_cap, degree_cap), walking i-edges."""
-        j = self.step[0][i]
-        for k in range(1, order_cap + 1):
-            if j == 0:
-                return k
-            if self[j].degree_profile() > degree_cap:
+        """order_of_map(gens[i], order_cap, degree_cap), walking the normal forms of n*e_i."""
+        zero = [0] * len(self.t)
+        v = self._plus(zero, i)
+        for n in range(1, order_cap + 1):
+            if v == zero:
+                return n
+            g = self[sum(s * prod(self.t[:j]) for j, s in enumerate(v))]
+            if g.degree_profile() > degree_cap:
                 return OVER_CAP
-            j = self.step[j][i]
+            v = self._plus(v, i)
         return OVER_CAP
 
-    def commute(self, a: int, b: int) -> bool:
-        """Whether gens[a] * gens[b] == gens[b] * gens[a]."""
-        return self.step[self.step[0][a]][b] == self.step[self.step[0][b]][a]
+    def _plus(self, v: list[int], i: int) -> list[int]:
+        """The normal form of v + e_i: from coordinate i down, each t_j
+        coordinate j holds is traded for carry[j]."""
+        v = v[:i] + [v[i] + 1] + v[i + 1:]
+        for j in range(i, -1, -1):
+            q, v[j] = divmod(v[j], self.t[j])
+            v[:j] = [s + q * x for s, x in zip(v, self.carry[j])]
+        return v
 
 
 def group_closure(gens: Sequence[ProjMap], cap: int = 256) -> Closure:
-    """All products of the generators, by breadth-first multiplication.
-
-    A product g*h_i landing on a known element gives the relation v + e_i - u
-    between the exponent vectors of the paths that first reached them.  By
-    Schreier's lemma Z^k modulo these relations is G's abelianization.
-    ClosureOverflow past cap elements, or at an element of degree over
-    DEGREE_CAP."""
+    """The group the generators generate, checked to commute, then coset by
+    coset: each new element is the one size = |H_(j-1)| places back times
+    gens[j], so a coset starts at gens[j]^s, and the first power found in
+    H_(j-1) gives t[j] and carry[j], a polycyclic sequence (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, ch. 8).  The rows
+    t[j]*e_j - carry[j] span the relation lattice; its Smith normal form
+    gives the invariant factors.  ClosureError when two generators do not
+    commute, past cap elements, or at an element of degree over DEGREE_CAP."""
     if not gens:
         raise ValueError("need at least one generator")
-    k = len(gens)
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            if gens[a].compose(gens[b]) != gens[b].compose(gens[a]):
+                raise ClosureError(f"not abelian: gen{a + 1}*gen{b + 1} != gen{b + 1}*gen{a + 1}")
     out = Closure([ProjMap.identity(gens[0].ambient)])
     index = {out[0].canonical_key(): 0}
-    paths = [(0,) * k]
-    out.step = []
-    relations: list[list[int]] = []  # kept in echelon form, <= k rows
-    for g, v in zip(out, paths):  # both grow as the queue is read
-        row = []
-        for i, h in enumerate(gens):
-            gh = g.compose(h)
-            w = v[:i] + (v[i] + 1,) + v[i + 1:]
-            key = gh.canonical_key()
-            if key in index:
-                relations = _echelon(relations + [[a - b for a, b in zip(w, paths[index[key]])]])
-            elif len(out) >= cap:
-                raise ClosureOverflow(f"group closure exceeded {cap} elements")
-            elif gh.degree_profile() > DEGREE_CAP:
-                raise ClosureOverflow(f"group closure element of degree over {DEGREE_CAP}")
-            else:
-                index[key] = len(out)
-                out.append(gh)
-                paths.append(w)
-            row.append(index[key])
-        out.step.append(row)
-    inv = tuple(d for d in smith_diagonal(relations + [[0] * k] * (k - len(relations))) if d != 1)
-    out.invariants = inv if prod(inv) == len(out) else None  # |G^ab| = |G| iff G is abelian
+    out.t, out.carry = [], []
+    for h in gens:
+        size = len(out)
+        while True:
+            g = out[-size].compose(h)
+            key = g.canonical_key()
+            if len(out) % size == 0 and key in index:  # h^s starts a coset; if known, in H_(j-1)
+                break
+            if len(out) >= cap:
+                raise ClosureError(f"group closure exceeded {cap} elements")
+            if g.degree_profile() > DEGREE_CAP:
+                raise ClosureError(f"group closure element of degree over {DEGREE_CAP}")
+            index[key] = len(out)
+            out.append(g)
+        out.carry.append([index[key] // prod(out.t[:c]) % t for c, t in enumerate(out.t)])
+        out.t.append(len(out) // size)
+    k = len(gens)
+    rows = [[-x for x in c] + [t] + [0] * (k - j - 1)
+            for j, (t, c) in enumerate(zip(out.t, out.carry))]
+    out.invariants = tuple(d for d in smith_diagonal(rows) if d != 1)
     return out
 
 

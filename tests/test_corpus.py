@@ -208,18 +208,22 @@ def test_noncommuting_pair_fails_its_row():
     checks = {c.label: c for c in rep.checks}
     assert not checks["gen1,gen2 commute"].passed
     assert checks["gen1,gen2 commute"].detail == "gen1*gen2 != gen2*gen1"
-    assert checks["group order"].passed
-    assert not checks["structure"].passed
-    assert checks["structure"].detail == "computed non-abelian / expected 6"
+    # no closure is built, so the structure goes unchecked
+    assert not checks["group order"].passed
+    assert checks["group order"].detail == "not abelian: gen1*gen2 != gen2*gen1"
+    assert "structure" not in checks
 
 
 def test_closure_overflow_is_a_failed_group_order():
-    # The closure stops past the claimed group order.  Without a closure,
-    # orders and commutation are computed from the generators, with the same
-    # checks and details.
+    # The closure stops past the claimed group order, or before its first
+    # element when two generators do not commute.  Without a closure, orders
+    # and commutation are computed from the generators, with the same checks
+    # and details.
     rows = parse_corpus(
         "big | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 8 | group = 4 | structure = 8\n"
         "over | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 2 | group = 4 | structure = 8\n"
+        "pair | P2 | gen = (x : y : -z) | gen = (x : -y : z) | gen_orders = 2,3 | group = 2 "
+        "| structure = 2\n"
         "s3 | P2 | gen = (y : x : z) | gen = (x : z : y) | gen_orders = 2,3 | group = 4 "
         "| structure = 6"
     )
@@ -229,7 +233,11 @@ def test_closure_overflow_is_a_failed_group_order():
         [("gen1 order", True, "computed 8"), overflow],
         [("gen1 order", False, "computed OverCap / expected 2"), overflow],
         [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2 / expected 3"),
-         ("gen1,gen2 commute", False, "gen1*gen2 != gen2*gen1"), overflow],
+         ("gen1,gen2 commute", True, ""),
+         ("group order", False, "group closure exceeded 2 elements")],
+        [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2 / expected 3"),
+         ("gen1,gen2 commute", False, "gen1*gen2 != gen2*gen1"),
+         ("group order", False, "not abelian: gen1*gen2 != gen2*gen1")],
     ]
 
 
@@ -266,13 +274,13 @@ def test_runaway_degree_is_a_failed_group_order():
 
 def test_closure_stops_past_the_claimed_order():
     # One character of C.22,22 breaks the commutation of gen2 and gen4; the
-    # closure stops at its 17th element, past the 16 the row claims.
+    # closure stops at that pair, before its first element.
     text = resources.files("cremonalab.data").joinpath("corpus.txt").read_text()
     line = next(t for t in text.splitlines() if t.startswith("C.22,22 "))
     row = parse_corpus(line.replace("(x2 : x1) x (y1 : y2)", "(x2 : x1) x (y1 :-y2)"))[0]
     assert [c for c in _checks_within(row, 1.0) if not c[1]] == [
         ("gen2,gen4 commute", False, "gen2*gen4 != gen4*gen2"),
-        ("group order", False, "group closure exceeded 16 elements"),
+        ("group order", False, "not abelian: gen2*gen4 != gen4*gen2"),
     ]
 
 

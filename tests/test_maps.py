@@ -9,7 +9,9 @@ import pytest
 from cremonalab.corpus import _parse_component_tuples, load_bundled_corpus
 from cremonalab.cyclo import CycloNumber
 from cremonalab.maps import (
+    DEGREE_CAP,
     NOT_INVARIANT,
+    ClosureError,
     Hypersurface,
     P1xP1,
     P2,
@@ -19,6 +21,7 @@ from cremonalab.maps import (
     ProjMap,
     WP2111,
     WP3112,
+    _echelon,
     _gcd_reduce,
     abelian_structure_matches,
     commute,
@@ -291,10 +294,10 @@ def _fingerprint_matches(elements, exponents) -> bool:
     )
 
 
-def test_structure_agrees_with_solution_count_fingerprint():
+def _diagonal_groups():
+    """(generators as diagonal scalars on P3, the type they generate)."""
     z = CycloNumber.zeta
-    # (generators as diagonal scalars on P3, the type they generate)
-    groups = [
+    return [
         ([[z(6), 1, 1, 1]], (6,)),
         ([[-1, 1, 1, 1], [1, z(3), 1, 1]], (2, 3)),
         ([[z(4), -1, 1, 1], [1, -1, 1, 1]], (2, 4)),
@@ -304,13 +307,16 @@ def test_structure_agrees_with_solution_count_fingerprint():
         ([[-1, 1, 1, 1], [1, z(8), 1, 1]], (2, 8)),
         ([[z(3), 1, 1, 1], [1, z(3), 1, 1], [1, 1, -1, 1]], (3, 3, 2)),
     ]
+
+
+def test_structure_agrees_with_solution_count_fingerprint():
     types = {
         6: [(6,), (2, 3), (3, 2)],
         8: [(8,), (2, 4), (4, 2), (2, 2, 2)],
         16: [(16,), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2)],
         18: [(18,), (3, 6), (2, 9), (2, 3, 3), (9, 2)],
     }
-    for scalars, known in groups:
+    for scalars, known in _diagonal_groups():
         closure = group_closure([diagonal(P3, s) for s in scalars])
         n = prod(known)
         assert len(closure) == n
@@ -319,29 +325,41 @@ def test_structure_agrees_with_solution_count_fingerprint():
         assert abelian_structure_matches(closure, known)
 
 
-def test_closure_orders_and_commutation_match_the_maps():
-    # verify_row reads orders and commutation off the closure, at the order
-    # cap it uses: they must be what order_of_map and commute compute.
+def _cs24():
     x, y, z = xyz()
-    s3 = [ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])]
+    return [ProjMap(P2, [y * z, x * y, -(x * z)]),  # degree 2, order 4
+            ProjMap(P2, [y * z * (y - z), x * z * (y + z), x * y * (y + z)])]  # degree 3
+
+
+def _zeta8():
+    return [diagonal(P2, [1, 1, CycloNumber.zeta(8)])]
+
+
+def _s3():
+    x, y, z = xyz()
+    return [ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])]
+
+
+def test_closure_orders_and_commutation_match_the_maps():
+    # verify_row reads orders off the closure, at the order cap it uses, and
+    # passes every commute check once the closure is built: the orders must
+    # be what order_of_map computes, and the closure built just when commute
+    # holds for every pair.
     cases = [(row.generators, max(row.gen_orders) * 2 + 2) for row in load_bundled_corpus()]
     assert len(cases) == 83
-    for gens, cap in cases + [(s3, 8)]:
+    for gens, cap in cases:
         closure = group_closure(gens, cap=128)
         assert [closure.order(i, cap) for i in range(len(gens))] == \
             [order_of_map(g, order_cap=cap) for g in gens]
-        for a, b in itertools.combinations(range(len(gens)), 2):
-            assert closure.commute(a, b) == commute(gens[a], gens[b])
-    assert not group_closure(s3).commute(0, 1)
+        assert all(commute(gens[a], gens[b]) for a, b in itertools.combinations(range(len(gens)), 2))
+    assert not commute(*_s3())
+    with pytest.raises(ClosureError):
+        group_closure(_s3())
 
 
 def test_closure_order_keeps_both_caps():
-    x, y, z = xyz()
-    cs24 = [ProjMap(P2, [y * z, x * y, -(x * z)]),  # degree 2, order 4
-            ProjMap(P2, [y * z * (y - z), x * z * (y + z), x * y * (y + z)])]  # degree 3
-    zeta8 = [diagonal(P2, [1, 1, CycloNumber.zeta(8)])]
-    s3 = [ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])]
-    for gens in (cs24, zeta8, s3):
+    cs24, zeta8 = _cs24(), _zeta8()
+    for gens in (cs24, zeta8):
         closure = group_closure(gens)
         for i, g in enumerate(gens):
             for order_cap, degree_cap in itertools.product(range(1, 10), (1, 2, 3)):
@@ -355,12 +373,82 @@ def test_closure_order_keeps_both_caps():
 
 
 def test_structure_rejects_nonabelian_group():
-    x, y, z = xyz()
-    closure = group_closure([ProjMap(P2, [y, x, z]), ProjMap(P2, [x, z, y])])
-    assert len(closure) == 6
-    assert closure.invariants is None
-    assert not abelian_structure_matches(closure, (6,))
-    assert not abelian_structure_matches(closure, (2, 3))
+    # The first pair that does not commute is named; the enumeration never starts.
+    with pytest.raises(ClosureError, match=r"^not abelian: gen1\*gen2 != gen2\*gen1$"):
+        group_closure(_s3())
+    with pytest.raises(ClosureError, match=r"^not abelian: gen2\*gen3 != gen3\*gen2$"):
+        group_closure([ProjMap.identity(P2)] + _s3())
+
+
+def _bfs_closure(gens, cap=256):
+    """The closure by breadth-first multiplication of every element by every
+    generator, an oracle for group_closure.  A product g*h_i landing on a
+    known element gives the relation v + e_i - u between the exponent vectors
+    of the paths that first reached them; by Schreier's lemma Z^k modulo
+    these relations is G's abelianization.  Returns the elements, the
+    invariant factors (None when not abelian) and the right-multiplication
+    table: step[j][i] is the index of elements[j] * gens[i]."""
+    k = len(gens)
+    out = [ProjMap.identity(gens[0].ambient)]
+    index = {out[0].canonical_key(): 0}
+    paths = [(0,) * k]
+    step = []
+    relations = []  # kept in echelon form, <= k rows
+    for g, v in zip(out, paths):  # both grow as the queue is read
+        row = []
+        for i, h in enumerate(gens):
+            gh = g.compose(h)
+            w = v[:i] + (v[i] + 1,) + v[i + 1:]
+            key = gh.canonical_key()
+            if key in index:
+                relations = _echelon(relations + [[a - b for a, b in zip(w, paths[index[key]])]])
+            else:
+                assert len(out) < cap and gh.degree_profile() <= DEGREE_CAP
+                index[key] = len(out)
+                out.append(gh)
+                paths.append(w)
+            row.append(index[key])
+        step.append(row)
+    inv = tuple(d for d in smith_diagonal(relations + [[0] * k] * (k - len(relations))) if d != 1)
+    return out, (inv if prod(inv) == len(out) else None), step  # |G^ab| = |G| iff G is abelian
+
+
+def _bfs_order(elements, step, i, order_cap, degree_cap):
+    """The order of gens[i], walking the i-edges of the table from the identity."""
+    j = step[0][i]
+    for k in range(1, order_cap + 1):
+        if j == 0:
+            return k
+        if elements[j].degree_profile() > degree_cap:
+            return OVER_CAP
+        j = step[j][i]
+    return OVER_CAP
+
+
+def test_closure_matches_breadth_first_oracle():
+    # Orders at every cap pair on cs24 and zeta8; elsewhere the true orders,
+    # which are at most |G| <= 128.
+    h, (g,) = _cs24()[0], _zeta8()
+    g2 = g.compose(g)
+    grid = list(itertools.product(range(1, 10), (1, 2, 3))) + [(129, DEGREE_CAP)]
+    cases = [(_cs24(), grid), (_zeta8(), grid)]
+    cases += [(row.generators, [(129, DEGREE_CAP)]) for row in load_bundled_corpus()]
+    cases += [([diagonal(P3, s) for s in scalars], [(129, DEGREE_CAP)])
+              for scalars, _ in _diagonal_groups()]
+    cases += [(gens, [(129, DEGREE_CAP)]) for gens in (
+        [h, h],  # a repeated generator
+        [ProjMap.identity(P2), h],  # the identity as a generator
+        [h, h.compose(h)],  # t = 1 with a nonzero carry
+        [g2.compose(g2), g2, g],  # carries that carry again
+    )]
+    for gens, caps in cases:
+        closure = group_closure(gens, cap=128)
+        elements, invariants, step = _bfs_closure(gens, cap=128)
+        assert {e.canonical_key() for e in closure} == {e.canonical_key() for e in elements}
+        assert (len(closure), closure.invariants) == (len(elements), invariants)
+        for i, (order_cap, degree_cap) in itertools.product(range(len(gens)), caps):
+            assert closure.order(i, order_cap, degree_cap) == \
+                _bfs_order(elements, step, i, order_cap, degree_cap), (i, order_cap, degree_cap)
 
 
 def _plain_gcd_many(polys):
