@@ -3,13 +3,15 @@
 A class d*L - sum(m_i * E_i) is stored as (d, m).  The intersection form is
 diag(-1, ..., -1, 1) in the basis (E_1, ..., E_r, L) and the canonical class
 is -3L + sum(E_i).  Exceptional and conic-fiber classes and the sum lemmas
-come from one exact sum-of-squares search (each range clipped to what the
-rest can reach, the last two entries from a quadratic, a lone entry forced),
-so the counts are exact and the output order is reproducible.
+come from one exact sum-of-squares search (each entry clipped to the values
+whose remainder still passes Cauchy, the last two entries from a quadratic, a
+lone entry forced), so the counts are exact and the output order is
+reproducible.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -37,9 +39,6 @@ class DivClass:
     def __sub__(self, other: "DivClass") -> "DivClass":
         self._check(other)
         return DivClass(self.d - other.d, tuple(a - b for a, b in zip(self.m, other.m)))
-
-    def __neg__(self) -> "DivClass":
-        return DivClass(-self.d, tuple(-a for a in self.m))
 
     def scale(self, k: int) -> "DivClass":
         return DivClass(k * self.d, tuple(k * a for a in self.m))
@@ -95,9 +94,10 @@ def _solve_sum_squares(
     """All integer vectors of given length with prescribed sum and sum of
     squares, entries in [lo, hi], emitted in lexicographic order.
 
-    Besides the Cauchy bound, three exact cuts: each entry is clipped to what
-    the entries after it can still sum to and to |entry| <= isqrt(q); the last
-    two entries solve v + w = s, (v - w)^2 = 2q - s^2; a lone entry is s."""
+    Three exact cuts: each entry v is clipped to what the entries after it can
+    still sum to and to the v whose remainder passes Cauchy, (s - v)^2 <=
+    (k - 1)(q - v^2); the last two entries solve v + w = s, (v - w)^2 =
+    2q - s^2; a lone entry is s."""
     if count < 2:
         if total_sq == total * total and (lo <= total <= hi if count else total == 0):
             yield (total,) * count
@@ -113,11 +113,14 @@ def _solve_sum_squares(
                 if t:
                     yield (*vec, (s + t) // 2, (s - t) // 2)
             return
-        # Cauchy: the remaining entries cannot achieve sum s on budget q.
-        if s * s > k * q:
+        # (s - v)^2 <= (k - 1)(q - v^2) <=> (k*v - s)^2 <= disc; disc < 0 is
+        # Cauchy failing for these k entries, and the clip implies |v| <= sqrt(q).
+        disc = (k - 1) * (k * q - s * s)
+        if disc < 0:
             return
-        root = isqrt(q)
-        for val in range(max(lo, s - (k - 1) * hi, -root), min(hi, s - (k - 1) * lo, root) + 1):
+        root = isqrt(disc)
+        top = min(hi, s - (k - 1) * lo, (s + root) // k)
+        for val in range(max(lo, s - (k - 1) * hi, -((root - s) // k)), top + 1):
             vec.append(val)
             yield from rec(k - 1, s - val, q - val * val)
             vec.pop()
@@ -166,25 +169,32 @@ def enumerate_conic_classes(r: int) -> tuple[DivClass, ...]:
 
 def neighbor_profile(r: int) -> dict[int, int]:
     """Distribution of positive intersection numbers of one exceptional class
-    with the others; asserts the distribution is the same for every class."""
+    with the others; asserts the distribution is the same for every class.
+
+    Byte k of d_col holds d of the k-th class o and byte k of m_cols[i] its
+    -m_i, so byte k of 128 + c.d*d_col + sum(c.m_i*m_cols[i]) is 128 + c.o: one
+    integer combination gives c's whole Gram row.  No byte carries into the
+    next: |c.o| <= |d_c|*max|d| + sum|m_c,i|*max|m| is at most 87 for r <= 8
+    (the true maximum is 3), so each byte lies in [41, 215].  c.c = -1 reads
+    127 and is not counted."""
     if not 3 <= r <= 8:
         raise ValueError("neighbor profile requires 3 <= r <= 8")
     classes = enumerate_exceptional(r)
+    n = len(classes)
+    d_col = sum(c.d << 8 * k for k, c in enumerate(classes))
+    m_cols = [sum(-c.m[i] << 8 * k for k, c in enumerate(classes)) for i in range(r)]
+    offset = int.from_bytes(b"\x80" * n, "little")
     profile: dict[int, int] | None = None
     for c in classes:
-        counts: dict[int, int] = {}
-        for other in classes:
-            if other is c:
-                continue
-            n = intersect(c, other)
-            if n > 0:
-                counts[n] = counts.get(n, 0) + 1
+        row = offset + c.d * d_col + sum(a * col for a, col in zip(c.m, m_cols))
+        seen = Counter(row.to_bytes(n, "little"))
+        counts = {b - 128: k for b, k in sorted(seen.items()) if b > 128}
         if profile is None:
             profile = counts
         elif profile != counts:
             raise ValueError(f"non-uniform neighbor profile at r={r}: {profile} vs {counts}")
     assert profile is not None
-    return dict(sorted(profile.items()))
+    return profile
 
 
 def arcond_search(m_max: int) -> list[tuple[int, tuple[int, int, int, int]]]:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cremonalab import lattice
 from cremonalab.lattice import (
     BlowupLattice,
     _solve_sum_squares,
@@ -81,6 +82,45 @@ def test_neighbor_profiles():
         neighbor_profile(2)
 
 
+def _pairwise_profile(r):
+    # every class against every other through intersect, counts compared as dicts
+    classes = enumerate_exceptional(r)
+    profile = None
+    for c in classes:
+        counts = {}
+        for other in classes:
+            if other is c:
+                continue
+            n = intersect(c, other)
+            if n > 0:
+                counts[n] = counts.get(n, 0) + 1
+        if profile is None:
+            profile = counts
+        assert profile == counts, (r, c)
+    return dict(sorted(profile.items()))
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_neighbor_profile_matches_pairwise_oracle(r):
+    assert neighbor_profile(r) == _pairwise_profile(r)
+    # neighbor_profile packs c.o into one byte as 128 + c.o; this bound on
+    # |c.o| keeps every byte in [1, 255], so none carries into the next
+    classes = enumerate_exceptional(r)
+    max_d = max(abs(c.d) for c in classes)
+    max_m = max(abs(a) for c in classes for a in c.m)
+    bound = max(abs(c.d) * max_d + sum(abs(a) for a in c.m) * max_m for c in classes)
+    assert bound < 128
+    assert r < 8 or bound == 87
+
+
+def test_neighbor_profile_rejects_non_uniform(monkeypatch):
+    # one class missing leaves its neighbors one short, the others not
+    classes = enumerate_exceptional(6)
+    monkeypatch.setattr(lattice, "enumerate_exceptional", lambda r: classes[1:])
+    with pytest.raises(ValueError, match="non-uniform neighbor profile"):
+        neighbor_profile(6)
+
+
 def test_r8_involutions():
     k8 = BlowupLattice(8).canonical()
     exc = set(enumerate_exceptional(8))
@@ -131,6 +171,7 @@ def test_solve_sum_squares_matches_product_filter():
     # the pruned search against a plain filter over the whole box, order included
     rng = random.Random(4157)
     seen = {"solved": 0, "unsolved": 0, "empty_range": 0, "negative_lo": 0}
+    cases = []
     for _ in range(500):
         count = rng.randint(0, 5)
         lo = rng.randint(-3, 2)
@@ -140,6 +181,10 @@ def test_solve_sum_squares_matches_product_filter():
             total, total_sq = sum(vec), sum(v * v for v in vec)
         else:
             total, total_sq = rng.randint(-6, 6), rng.randint(-2, 25)
+        cases.append((count, total, total_sq, lo, hi))
+    # the calls arcond_search makes
+    cases += [(4, 2 * (m - 1), m * m - 1, 0, m) for m in range(1, 9)]
+    for count, total, total_sq, lo, hi in cases:
         want = [
             v for v in itertools.product(range(lo, hi + 1), repeat=count)
             if sum(v) == total and sum(a * a for a in v) == total_sq
