@@ -192,14 +192,13 @@ def cmd_jonq(args) -> int:
     report = {"order": o if isinstance(o, int) else "over-cap"}
     report["involution"] = is_involution(e)
     if e.has_trivial_base():
-        # the verdict carries the determinant class; test it against None,
-        # as its truth is `absolute`
         verdict = is_twisting(e) if report["involution"] else None
         delta = det_class(e) if verdict is None else verdict.delta
         report["delta"] = {
             "radical": str(delta.radical),
             "constant": str(delta.constant),
-            "status": delta.constant_status,
+            "status": {True: "resolved_square", False: "resolved_nonsquare",
+                       None: "indeterminate"}[delta.square],
         }
         if verdict is not None:
             report["twisting"] = {
@@ -246,10 +245,7 @@ def cmd_verify_tables(args) -> int:
     payload = []
     ok = True
     for it in items:
-        payload.append(
-            {"name": it.name, "passed": it.passed, "detail": it.detail,
-             "seconds": round(it.seconds, 2)}
-        )
+        payload.append({"name": it.name, "passed": it.passed, "detail": it.detail})
         ok = ok and it.passed
     if args.json:
         _emit({"passed": ok, "items": payload}, True)

@@ -18,11 +18,9 @@ from typing import Optional, Sequence
 from .cyclo import OVER_CAP, CycloNumber, _order, euler_phi
 from .expr import parse_expression, parse_tuples
 from .maps import (
-    NOT_INVARIANT,
     Ambient,
     BasePointError,
     ClosureError,
-    Hypersurface,
     P1xP1,
     P2,
     P2xP2,
@@ -131,7 +129,10 @@ def parse_corpus(text: str) -> list[CorpusRow]:
             try:
                 if key == "F":
                     equation = parse_expression(value, ambient.vars)
-                    Hypersurface(ambient, equation)  # rejects a zero or non-homogeneous F
+                    if equation.is_zero():
+                        raise ValueError("hypersurface equation must be nonzero")
+                    if not equation.is_weighted_homogeneous(ambient.var_weights()):
+                        raise ValueError("equation is not weighted-homogeneous")
                     equations.append(equation)
                 elif key == "gen":
                     generators.append(_parse_component_tuples(value, ambient))
@@ -211,7 +212,7 @@ def verify_row(row: CorpusRow) -> RowReport:
                 for F in row.equations:
                     pulled = F.subs(images)
                     lam = scalar_multiple(pulled, F)
-                    if lam is not NOT_INVARIANT:
+                    if lam is not None:
                         details.append(str(lam))
                         scalars.append(lam)
                     elif len(row.equations) > 1 and in_span(pulled, row.equations) is not None:

@@ -202,9 +202,6 @@ class CycloNumber:
             return NotImplemented
         return self + (-CycloNumber.coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "CycloNumber":
-        return CycloNumber.coerce(other) - self
-
     def __mul__(self, other: Scalar) -> "CycloNumber":
         if not isinstance(other, (CycloNumber, int, Fraction)):
             return NotImplemented
@@ -438,22 +435,6 @@ def _try_descend(x: CycloNumber, m: int) -> Optional[CycloNumber]:
     return _of(m, [sum(v * x.num[i] for i, v in row) for row in L], x.den * d)
 
 
-class SquareTest:
-    """Outcome of an exact constant square test."""
-
-    __slots__ = ("status", "root")
-
-    def __init__(self, status: str, root: Optional[CycloNumber] = None):
-        assert status in ("square", "nonsquare", "indeterminate")
-        self.status = status
-        self.root = root
-
-    def __repr__(self) -> str:
-        if self.status == "square":
-            return f"SquareTest(square, root={self.root})"
-        return f"SquareTest({self.status})"
-
-
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     if q < 0:
         return None
@@ -469,16 +450,16 @@ def conductor_of(values: Iterable[Scalar]) -> int:
     return lcm(1, *(CycloNumber.coerce(v).deflate().n for v in values))
 
 
-def is_square_constant(c: CycloNumber, field_conductor: Optional[int] = None) -> SquareTest:
-    """Exact square test in Q(zeta_n) for n in {1, 2, 3, 4, 6}; else indeterminate.
+def is_square_constant(c: CycloNumber, field_conductor: Optional[int] = None) -> Optional[bool]:
+    """Whether c is a square in Q(zeta_n): True or False for n in {1, 2, 3, 4, 6},
+    else True or None (unknown).
 
     The answer depends on the ambient field: -3 is a square in Q(zeta_3) but
     not in Q.  By default the field is the smallest one holding c, whatever
     conductor c is stored at; pass field_conductor to test inside a larger
     field.  Conductors outside the resolved range would need number-field
-    factorization, which is out of scope, so the answer there is a positive
-    certificate when one is found in a resolved subfield and indeterminate
-    otherwise.
+    factorization, which is out of scope, so the answer there is True when c
+    is a square in a resolved subfield and None otherwise.
     """
     c = CycloNumber.coerce(c)
     if c.is_zero():
@@ -492,20 +473,16 @@ def is_square_constant(c: CycloNumber, field_conductor: Optional[int] = None) ->
     if n in _QUADRATIC:
         return _square_test(d, n)
     # Unresolved field: certify squares found in a resolved subfield.
-    for sub in _QUADRATIC:
-        if sub % d.n == 0 and n % sub == 0:
-            t = _square_test(d, sub)
-            if t.status == "square":
-                return t
-    return SquareTest("indeterminate")
+    return any(_square_test(d, sub) for sub in _QUADRATIC
+               if sub % d.n == 0 and n % sub == 0) or None
 
 
 # Q(zeta_n) = Q(sqrt(D)) for n in {1, 3, 4}: n -> (D, sqrt(D) in the power basis of zeta_n)
 _QUADRATIC = {1: (1, (1,)), 3: (-3, (1, 2)), 4: (-1, (0, 1))}
 
 
-def _square_test(c: CycloNumber, n: int) -> SquareTest:
-    """Square test of c in Q(zeta_n) = Q(sqrt(D)), n in _QUADRATIC and c.n | n.
+def _square_test(c: CycloNumber, n: int) -> bool:
+    """Whether c is a square in Q(zeta_n) = Q(sqrt(D)), n in _QUADRATIC and c.n | n.
 
     With c = A + B*sqrt(D), a root u + v*sqrt(D) has u^2 + D*v^2 = A and
     2uv = B, so m = u^2 - D*v^2 (nonnegative, as D < 0 or, over Q, v = 0) is
@@ -513,16 +490,11 @@ def _square_test(c: CycloNumber, n: int) -> SquareTest:
     when u = 0, c = A = D*v^2.
     """
     D, s = _QUADRATIC[n]
-    sqrt_d = CycloNumber(n, s)
     cs = c.promote(n).coeffs
     b = cs[-1] / s[-1] if n > 1 else Fraction(0)
     a = cs[0] - b * s[0]
     m = _rational_sqrt(a * a - D * b * b)
     u = None if m is None else _rational_sqrt((a + m) / 2)
     if u is None:
-        return SquareTest("nonsquare")
-    if u:
-        root = u + b / (2 * u) * sqrt_d if b else CycloNumber.from_rational(u)
-        return SquareTest("square", root)
-    v = _rational_sqrt(a / D)
-    return SquareTest("nonsquare") if v is None else SquareTest("square", v * sqrt_d)
+        return False
+    return bool(u) or _rational_sqrt(a / D) is not None

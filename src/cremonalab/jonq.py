@@ -171,8 +171,10 @@ class JonqElement:
         return hash((self.m, self.beta))
 
     def __repr__(self) -> str:
-        a = self.a
-        return f"JonqElement(A=[[{a[0][0]}, {a[0][1]}], [{a[1][0]}, {a[1][1]}]], beta=[[{self.beta[0][0]}, {self.beta[0][1]}], [{self.beta[1][0]}, {self.beta[1][1]}]])"
+        (m00, m01), (m10, m11) = self.m
+        (b00, b01), (b10, b11) = self.beta
+        return (f"JonqElement(m=[[{m00}, {m01}], [{m10}, {m11}]], "
+                f"beta=[[{b00}, {b01}], [{b10}, {b11}]])")
 
 
 _IDENTITY = JonqElement(((1, 0), (0, 1)))
@@ -216,14 +218,14 @@ class SquareClass:
     """Class of a nonzero rational function modulo squares.
 
     radical is the monic square-free polynomial part; the constant carries
-    the rest, with its squareness resolved only over fields where an exact
-    test exists.  Over an algebraically closed field only the radical
-    matters.
+    the rest.  square says whether the constant is a square over the field
+    of conductor field_conductor, None where no exact test resolves it.
+    Over an algebraically closed field only the radical matters.
     """
 
     radical: UniPoly
     constant: CycloNumber
-    constant_status: str  # resolved_square | resolved_nonsquare | indeterminate
+    square: Optional[bool]
     field_conductor: int
 
     def is_trivial_absolute(self) -> bool:
@@ -231,31 +233,20 @@ class SquareClass:
         return self.radical.is_one()
 
     def is_trivial_effective(self) -> Optional[bool]:
-        if not self.radical.is_one():
-            return False
-        if self.constant_status == "resolved_square":
-            return True
-        if self.constant_status == "resolved_nonsquare":
-            return False
-        return None
+        return self.square if self.radical.is_one() else False
 
     def same_class(self, other: "SquareClass") -> Optional[bool]:
         """Equality as square classes over the effective field; None if the
         constant comparison is unresolved."""
         if self.radical != other.radical:
             return False
-        t = is_square_constant(self.constant / other.constant,
-                               lcm(self.field_conductor, other.field_conductor))
-        if t.status == "square":
-            return True
-        if t.status == "nonsquare":
-            return False
-        return None
+        return is_square_constant(self.constant / other.constant,
+                                  lcm(self.field_conductor, other.field_conductor))
 
     def __repr__(self) -> str:
         return (
             f"SquareClass(radical={self.radical}, constant={self.constant}, "
-            f"{self.constant_status})"
+            f"square={self.square})"
         )
 
 
@@ -266,13 +257,8 @@ def square_class(f: Union[RatFunc, UniPoly], field_conductor: Optional[int] = No
     p = f.num * f.den
     dec = squarefree_part(p)
     n = field_conductor if field_conductor is not None else conductor_of(p.coeffs)
-    t = is_square_constant(dec.constant, lcm(n, conductor_of([dec.constant])))
-    status = {
-        "square": "resolved_square",
-        "nonsquare": "resolved_nonsquare",
-        "indeterminate": "indeterminate",
-    }[t.status]
-    return SquareClass(dec.radical, dec.constant, status, n)
+    square = is_square_constant(dec.constant, lcm(n, conductor_of([dec.constant])))
+    return SquareClass(dec.radical, dec.constant, square, n)
 
 
 def det_class(e: JonqElement, field_conductor: Optional[int] = None) -> SquareClass:
@@ -308,9 +294,6 @@ class TwistingVerdict:
     delta: SquareClass
     branch_points: int
     genus: int
-
-    def __bool__(self) -> bool:
-        return self.absolute
 
 
 def is_twisting(e: JonqElement, field_conductor: Optional[int] = None) -> TwistingVerdict:

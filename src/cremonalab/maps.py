@@ -244,42 +244,16 @@ def _scalar_normalize(ambient: Ambient, comps: tuple[MultiPoly, ...]) -> tuple[M
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Hypersurface:
-    """Weighted-homogeneous equation cutting a surface in the ambient."""
-
-    ambient: Ambient
-    equation: MultiPoly
-
-    def __post_init__(self):
-        if self.equation.is_zero():
-            raise ValueError("hypersurface equation must be nonzero")
-        if not self.equation.is_weighted_homogeneous(self.ambient.var_weights()):
-            raise ValueError("equation is not weighted-homogeneous")
-
-
-class NotInvariant:
-    """Sentinel for a surface not semi-invariant under a map."""
-
-    def __repr__(self) -> str:
-        return "NotInvariant"
-
-
-NOT_INVARIANT = NotInvariant()
-
-
-def scalar_multiple(p: MultiPoly, q: MultiPoly):
-    """p = lam * q exactly, returning lam, else NOT_INVARIANT."""
+def scalar_multiple(p: MultiPoly, q: MultiPoly) -> Optional[CycloNumber]:
+    """The nonzero lam with p = lam * q exactly, or None if there is none."""
     if p.is_zero():
-        return NOT_INVARIANT
+        return None
     m = q.leading_monomial()
     c = p.coeff(m)
     if c.is_zero():
-        return NOT_INVARIANT
+        return None
     lam = c / q.coeff(m)
-    if p == q.scale(lam):
-        return lam
-    return NOT_INVARIANT
+    return lam if p == q.scale(lam) else None
 
 
 def in_span(p: MultiPoly, basis: Sequence[MultiPoly]) -> Optional[list[CycloNumber]]:

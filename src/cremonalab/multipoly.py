@@ -123,9 +123,6 @@ class MultiPoly:
     def __sub__(self, other: Union[Coeffish, "MultiPoly"]) -> "MultiPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: Union[Coeffish, "MultiPoly"]) -> "MultiPoly":
-        return self._coerce(other) - self
-
     def __mul__(self, other: Union[Coeffish, "MultiPoly"]) -> "MultiPoly":
         other = self._coerce(other)
         out: dict[tuple[int, ...], CycloNumber] = {}

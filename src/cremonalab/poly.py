@@ -106,9 +106,6 @@ class UniPoly:
         quo, rem = _divmod(self.coeffs, other.coeffs)
         return UniPoly(quo), UniPoly(rem)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
@@ -271,9 +268,6 @@ class RatFunc:
     def __sub__(self, other) -> "RatFunc":
         return self + (-RatFunc.coerce(other))
 
-    def __rsub__(self, other) -> "RatFunc":
-        return RatFunc.coerce(other) - self
-
     def __mul__(self, other) -> "RatFunc":
         other = RatFunc.coerce(other)
         return RatFunc(self.num * other.num, self.den * other.den)
@@ -285,9 +279,6 @@ class RatFunc:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return RatFunc.coerce(other) / self
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():

@@ -162,7 +162,7 @@ def _geiser_suite() -> tuple[bool, str]:
         "fixed rank 1": fixed_rank([g]) == 1,
         "D -> -K-D": all(classes[perm[i]] == k.scale(-1) - c for i, c in enumerate(classes)),
         "28 2-cycles": sorted(len(c) for c in permutation_cycles(perm)) == [2] * 28,
-        "orbit divisibility": rep.divisibility_holds is True and rep.orbit_sizes == [2] * 28,
+        "orbit divisibility": rep.lemma_applicable and rep.orbit_sizes == [2] * 28,
     })
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cyclo import (OVER_CAP, _divmod, _order, _poly_mul, _row_reduce, cyclotomic_polynomial,
                     divisors)
@@ -271,11 +271,13 @@ def permutation_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:
 
 @dataclass
 class OrbitReport:
+    """lemma_applicable: the fixed rank is 1, and every orbit size was found
+    divisible by the degree (orbit_divisibility raises otherwise)."""
+
     fixed_rank: int
     orbit_sizes: list[int]
     degree: int
     lemma_applicable: bool
-    divisibility_holds: Optional[bool]
 
 
 def orbit_divisibility(gens: Sequence[PicAut]) -> OrbitReport:
@@ -310,11 +312,8 @@ def orbit_divisibility(gens: Sequence[PicAut]) -> OrbitReport:
     fr = fixed_rank(gens)
     degree = 9 - r
     applicable = fr == 1
-    holds: Optional[bool] = None
-    if applicable:
-        holds = all(s % degree == 0 for s in sizes)
-        if not holds:
-            raise ValueError(
-                f"orbit sizes {sizes} not all divisible by degree {degree} despite fixed rank 1"
-            )
-    return OrbitReport(fr, sizes, degree, applicable, holds)
+    if applicable and any(s % degree for s in sizes):
+        raise ValueError(
+            f"orbit sizes {sizes} not all divisible by degree {degree} despite fixed rank 1"
+        )
+    return OrbitReport(fr, sizes, degree, applicable)

@@ -83,6 +83,11 @@ def test_jonq_analysis(capsys):
                                  "status": "resolved_nonsquare"},
                        "twisting": {"absolute": True, "effective": True}},
         "1, x, 0, 1": {"delta": square, "involution": False, "order": "over-cap"},
+        # 1 + zeta(8) lies in no field with an exact square test
+        "0, zeta(8)+1, 1, 0": {"delta": {"constant": "-1 - zeta(8)", "radical": "1",
+                                         "status": "indeterminate"},
+                               "involution": True, "order": 2,
+                               "twisting": {"absolute": False, "effective": None}},
     }
     for element, report in reports.items():
         code, out = run(capsys, "jonq", "--element", element, "--json")

@@ -119,9 +119,9 @@ def test_fixed_rank_identity():
 def test_orbit_divisibility_reports():
     repg = orbit_divisibility([make_geiser()])
     assert repg.fixed_rank == 1 and repg.degree == 2
-    assert repg.orbit_sizes == [2] * 28 and repg.divisibility_holds
+    assert repg.orbit_sizes == [2] * 28 and repg.lemma_applicable
     repb = orbit_divisibility([make_bertini()])
-    assert repb.degree == 1 and repb.divisibility_holds
+    assert repb.degree == 1 and repb.lemma_applicable
 
 
 def test_charpoly_roundtrip():
