@@ -17,9 +17,8 @@ from . import tables
 from .expr import ParseError, parse_ratfunc
 from .jonq import JonqElement, det_class, is_involution, is_twisting, order_j
 from .lattice import enumerate_conic_classes, enumerate_exceptional
-from .maps import DEGREE_CAP, BasePointError, order_of_map
+from .maps import BasePointError, order_of_map
 from .weyl import (
-    OVER_CAP,
     PicAut,
     act_on_exceptional,
     eigenvalue_multiplicities,
@@ -28,8 +27,8 @@ from .weyl import (
     make_dp4_cubic,
     make_dp4_quadratic,
     make_geiser,
+    orbit_sizes,
     order as weyl_order,
-    permutation_cycles,
 )
 
 
@@ -109,15 +108,14 @@ def cmd_weyl(args) -> int:
     report = {
         "r": m.r,
         "weyl": m.is_weyl(),
-        "order": o if o is not OVER_CAP else "over-cap",
+        "order": o or "over-cap",
         "fixed_rank": fixed_rank([m]),
     }
-    if isinstance(o, int):
+    if o:
         report["cyclotomic_multiplicities"] = {
             str(d): k for d, k in eigenvalue_multiplicities(m).items()
         }
-        perm = act_on_exceptional(m)
-        report["orbit_sizes"] = sorted(len(c) for c in permutation_cycles(perm))
+        report["orbit_sizes"] = orbit_sizes([act_on_exceptional(m)])
     _emit(report, args.json)
     return 0
 
@@ -149,11 +147,11 @@ def cmd_order(args) -> int:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     try:
-        o = order_of_map(f, order_cap=args.order_cap, degree_cap=args.degree_cap)
+        o = order_of_map(f, order_cap=args.order_cap)
     except BasePointError as e:
         print(e, file=sys.stderr)
         return 2
-    print(o if isinstance(o, int) else "over-cap")
+    print(o or "over-cap")
     return 0
 
 
@@ -189,7 +187,7 @@ def cmd_jonq(args) -> int:
         print(f"parse error: {e_}", file=sys.stderr)
         return 2
     o = order_j(e)
-    report = {"order": o if isinstance(o, int) else "over-cap"}
+    report = {"order": o or "over-cap"}
     report["involution"] = is_involution(e)
     if e.has_trivial_base():
         verdict = is_twisting(e) if report["involution"] else None
@@ -286,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("order", help="order of a self-map")
     po.add_argument("--ambient", default="P2", choices=sorted(corpus_mod.AMBIENTS))
     po.add_argument("--order-cap", type=_positive_int, default=5040)
-    po.add_argument("--degree-cap", type=_positive_int, default=DEGREE_CAP)
     po.add_argument("map")
     po.set_defaults(func=cmd_order)
 

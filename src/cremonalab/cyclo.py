@@ -310,34 +310,17 @@ def _power(base, k: int, one):
     return one if result is None else result
 
 
-class OverCap:
-    """Sentinel for iteration that exceeded its cap."""
-
-    _instance: Optional["OverCap"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "OverCap"
-
-
-OVER_CAP = OverCap()
-
-
-def _order(x, cap: int, is_one, too_big=lambda acc: False):
-    """Least k <= cap with is_one(x**k), by repeated multiplication;
-    OVER_CAP past cap, or once too_big holds for a power that is not one."""
+def _order(x, cap: int, is_one, too_big=lambda acc: False) -> Optional[int]:
+    """Least k <= cap with is_one(x**k), by repeated multiplication; None
+    past cap, or once too_big holds for a power that is not one."""
     acc = x
     for k in range(1, cap + 1):
         if is_one(acc):
             return k
         if too_big(acc):
-            return OVER_CAP
+            return None
         acc = acc * x
-    return OVER_CAP
+    return None
 
 
 def _coeff_str(c) -> str:

@@ -21,7 +21,6 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from .cyclo import (
-    OVER_CAP,
     CycloNumber,
     _order,
     _power,
@@ -187,8 +186,8 @@ def _root_order_bound(values) -> int:
     return 8 * euler_phi(conductor_of(values)) ** 2
 
 
-def order_j(e: JonqElement, cap: int = 5040):
-    """Least k <= cap with e^k = 1; OVER_CAP past cap or on proven infinite order.
+def order_j(e: JonqElement, cap: int = 5040) -> Optional[int]:
+    """Least k <= cap with e^k = 1; None past cap or on proven infinite order.
 
     A finite order b of the base beta is the order of its eigenvalue ratio,
     a root of unity of degree at most 2 over the field of the entries of
@@ -202,15 +201,15 @@ def order_j(e: JonqElement, cap: int = 5040):
     """
     bound = _root_order_bound(c for row in e.beta for c in row)
     b = _order(JonqElement.base_only(e.beta), min(cap, bound), JonqElement.is_identity)
-    if b is OVER_CAP:
-        return OVER_CAP
+    if b is None:
+        return None
     f = _power(e, b, _IDENTITY)
     tr = f.m[0][0] + f.m[1][1]
     c = RatFunc(tr * tr, f.det())
     if not c.is_constant():
-        return OVER_CAP
+        return None
     k = _order(f, min(cap // b, _root_order_bound([c.constant_value()])), JonqElement.is_identity)
-    return OVER_CAP if k is OVER_CAP else b * k
+    return None if k is None else b * k
 
 
 @dataclass

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .cyclo import (OVER_CAP, _divmod, _order, _poly_mul, _row_reduce, cyclotomic_polynomial,
-                    divisors)
+from .cyclo import _divmod, _order, _poly_mul, _row_reduce, cyclotomic_polynomial, divisors
 from .lattice import DivClass, enumerate_exceptional
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -164,8 +163,8 @@ def make_dp4_cubic() -> PicAut:
     return PicAut(5, DP4_CUBIC_MATRIX)
 
 
-def order(m: PicAut, cap: int = 5040):
-    """Least k >= 1 with m^k = 1, or OVER_CAP."""
+def order(m: PicAut, cap: int = 5040) -> Optional[int]:
+    """Least k <= cap with m^k = 1, or None."""
     return _order(m, cap, identity_aut(m.r).__eq__)
 
 
@@ -200,7 +199,7 @@ def eigenvalue_multiplicities(m: PicAut, cap: int = 5040) -> dict[int, int]:
     """Multiplicity of each cyclotomic factor Phi_d of the characteristic
     polynomial, keyed by d; requires m of finite order."""
     k = order(m, cap)
-    if k is OVER_CAP:
+    if k is None:
         raise ValueError("matrix does not have finite order within the cap")
     chi = list(charpoly(m))
     out: dict[int, int] = {}
@@ -252,21 +251,24 @@ def act_on_exceptional(m: PicAut) -> tuple[int, ...]:
     return tuple(images)
 
 
-def permutation_cycles(perm: Sequence[int]) -> list[tuple[int, ...]]:
-    seen = [False] * len(perm)
-    cycles = []
-    for i in range(len(perm)):
-        if seen[i]:
+def orbit_sizes(perms: Sequence[Sequence[int]]) -> list[int]:
+    """Sorted sizes of the orbits of the group the permutations generate,
+    each given in one-line form on the same points."""
+    seen = [False] * len(perms[0])
+    sizes = []
+    for start in range(len(seen)):
+        if seen[start]:
             continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(tuple(cyc))
-    return cycles
+        stack, seen[start], size = [start], True, 0
+        while stack:
+            cur = stack.pop()
+            size += 1
+            for p in perms:
+                if not seen[p[cur]]:
+                    seen[p[cur]] = True
+                    stack.append(p[cur])
+        sizes.append(size)
+    return sorted(sizes)
 
 
 @dataclass
@@ -285,32 +287,9 @@ def orbit_divisibility(gens: Sequence[PicAut]) -> OrbitReport:
     fixed rank is 1 every orbit size must be divisible by the degree 9-r."""
     if not gens:
         raise ValueError("need at least one generator")
-    r = gens[0].r
-    classes = enumerate_exceptional(r)
-    perms = []
-    for g in gens:
-        perms.append(act_on_exceptional(g))
-    n = len(classes)
-    seen = [False] * n
-    sizes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        size = 0
-        while stack:
-            cur = stack.pop()
-            size += 1
-            for p in perms:
-                nxt = p[cur]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        sizes.append(size)
-    sizes.sort()
+    sizes = orbit_sizes([act_on_exceptional(g) for g in gens])
     fr = fixed_rank(gens)
-    degree = 9 - r
+    degree = 9 - gens[0].r
     applicable = fr == 1
     if applicable and any(s % degree for s in sizes):
         raise ValueError(

@@ -219,10 +219,12 @@ def test_zero_divisors_are_parse_errors(tmp_path, capsys):
 
 
 def test_bad_caps_and_matrices_are_usage_errors(capsys):
-    for argv in (("--order-cap", "0"), ("--degree-cap", "-1"), ("--order-cap", "x")):
+    for argv in (("--order-cap", "0"), ("--order-cap", "x")):
         assert main(["order", *argv, "(x : y : z)"]) == 2
         assert "must be a positive integer" in capsys.readouterr().err
     assert run(capsys, "order", "--order-cap", "1", "(x : y : z)") == (0, "1\n")
+    assert main(["order", "--degree-cap", "16", "(x : y : z)"]) == 2
+    assert "unrecognized arguments: --degree-cap" in capsys.readouterr().err
     for jobs in ("0", "-3", "x"):
         assert main(["corpus", "--jobs", jobs]) == 2
         assert "must be a positive integer" in capsys.readouterr().err

@@ -231,13 +231,52 @@ def test_closure_overflow_is_a_failed_group_order():
     checks = [[(c.label, c.passed, c.detail) for c in verify_row(row).checks] for row in rows]
     assert checks == [
         [("gen1 order", True, "computed 8"), overflow],
-        [("gen1 order", False, "computed OverCap / expected 2"), overflow],
+        [("gen1 order", False, "computed over-cap / expected 2"), overflow],
         [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2 / expected 3"),
          ("gen1,gen2 commute", True, ""),
          ("group order", False, "group closure exceeded 2 elements")],
         [("gen1 order", True, "computed 2"), ("gen2 order", False, "computed 2 / expected 3"),
          ("gen1,gen2 commute", False, "gen1*gen2 != gen2*gen1"),
          ("group order", False, "not abelian: gen1*gen2 != gen2*gen1")],
+    ]
+
+
+def test_products_that_are_no_group_fail_the_group_order():
+    # Constant maps, and a map whose square is constant, are not invertible:
+    # a product repeats an element off a coset start or outside H_(j-1), so
+    # the closure is no group and its numbering would give no orders.
+    rows = parse_corpus(
+        "c | P2 | gen = (x : 0 : 0) | gen_orders = 2 | group = 2 | structure = 2\n"
+        "s | P2 | gen = (y : z : 0) | gen_orders = 3 | group = 3 | structure = 3\n"
+        "d | P2 | gen = (x : x : x) | gen_orders = 2 | group = 2 | structure = 2\n"
+        "p | P2 | gen = (x : y : -z) | gen = (x : 0 : 0) | gen_orders = 2,2 | group = 4 "
+        "| structure = 2,2"
+    )
+    checks = [[(c.label, c.passed, c.detail) for c in verify_row(row).checks] for row in rows]
+    no_group = "not a group: a product with gen{} repeats an element"
+    assert checks == [
+        [("gen1 order", False, "computed over-cap / expected 2"),
+         ("group order", False, no_group.format(1))],
+        [("gen1 order", False, "computed over-cap / expected 3"),
+         ("group order", False, no_group.format(1))],
+        [("gen1 order", False, "computed over-cap / expected 2"),
+         ("group order", False, no_group.format(1))],
+        [("gen1 order", True, "computed 2"),
+         ("gen2 order", False, "computed over-cap / expected 2"),
+         ("gen1,gen2 commute", True, ""), ("group order", False, no_group.format(2))],
+    ]
+
+
+def test_order_past_the_fallback_cap_is_read_off_the_closure():
+    # The closure's orders are exact: an order of 8 claimed as 2 reads 8,
+    # past the fallback's cap of 2*2 + 2.
+    row = parse_corpus(
+        "z8 | P2 | gen = (x : y : zeta(8)*z) | gen_orders = 2 | group = 8 | structure = 8"
+    )[0]
+    assert [(c.label, c.passed, c.detail) for c in verify_row(row).checks] == [
+        ("gen1 order", False, "computed 8 / expected 2"),
+        ("group order", True, "computed 8"),
+        ("structure", True, "computed 8 / expected 8"),
     ]
 
 
@@ -265,9 +304,9 @@ def test_runaway_degree_is_a_failed_group_order():
         "h8 | P2 | gen = (x*y : y^2 : z^2) | gen_orders = 2 | group = 8 | structure = 8"
     )
     assert [_checks_within(row, 1.0) for row in rows] == [
-        [("gen1 order", False, "computed OverCap / expected 2"),
+        [("gen1 order", False, "computed over-cap / expected 2"),
          ("group order", False, "group closure exceeded 2 elements")],
-        [("gen1 order", False, "computed OverCap / expected 2"),
+        [("gen1 order", False, "computed over-cap / expected 2"),
          ("group order", False, "group closure element of degree over 64")],
     ]
 
@@ -297,8 +336,8 @@ def test_base_point_in_the_fallback_is_a_failed_check():
     not_dominant = ("every weight-one component of an output factor vanishes:"
                     " the map is not dominant")
     assert [_checks_within(row, 1.0) for row in rows] == [
-        [("gen1 order", False, "computed OverCap / expected 2"),
-         ("gen2 order", False, "computed OverCap / expected 2"),
+        [("gen1 order", False, "computed over-cap / expected 2"),
+         ("gen2 order", False, "computed over-cap / expected 2"),
          ("gen1,gen2 commute", False, undefined), ("group order", False, undefined)],
         [("gen1 order", False, not_dominant), ("group order", False, not_dominant)],
     ]
